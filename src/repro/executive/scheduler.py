@@ -1045,7 +1045,7 @@ class ExecutiveSimulation:
             proc,
             task_time,
             on_done,
-            label=f"lateral:{succ.spec.name}#{succ.gid}:{candidate!r}",
+            label=format_task_label(succ.spec.name, succ.gid, candidate),
         )
         if not started:
             return
@@ -1153,6 +1153,8 @@ class ExecutiveSimulation:
             return
         run = self.runs[desc.phase_run]
         run.assigned = run.assigned - desc.granules
+        # queued while orphaned, as for a retry (see _retry)
+        run.queued = run.queued | desc.granules
         if run.stats.last_assign_time is not None and not run.fully_assigned:
             run.stats.last_assign_time = None
         desc.state = DescriptionState.WAITING
@@ -1192,6 +1194,9 @@ class ExecutiveSimulation:
             )
         )
         run.assigned = run.assigned - desc.granules
+        # queued from now on, not only after the backoff: until then neither
+        # completion processing nor a lateral hand-off may issue them again
+        run.queued = run.queued | desc.granules
         if run.stats.last_assign_time is not None and not run.fully_assigned:
             run.stats.last_assign_time = None
         desc.state = DescriptionState.WAITING
@@ -1199,7 +1204,6 @@ class ExecutiveSimulation:
 
         def requeue() -> None:
             self._pending_retries -= 1
-            run.queued = run.queued | desc.granules
             self.queue.push_front(desc, elevated=True)
             self._note_queue_depth()
             self._dispatch_idle()
@@ -1327,7 +1331,6 @@ class ExecutiveSimulation:
                     desc.attempts, "crash",
                 )
             )
-            owner.queued = owner.queued | desc.granules
             self.queue.push_front(desc, elevated=True)
         self._note_queue_depth()
         self._dispatch_idle()

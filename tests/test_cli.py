@@ -66,6 +66,13 @@ class TestSimulate:
         code, _ = run_cli("simulate", "identity", "--workers", "4", "--shared-executive")
         assert code == 0
 
+    def test_lateral_handoff_run_sanitizes_clean(self):
+        code, text = run_cli("simulate", "casper", "--lateral-handoff", "--sanitize")
+        assert code == 0, text
+        assert "lateral hand-offs" in text
+        assert " error " not in text and "does not match any scheduled phase run" not in text
+        assert "sanitizer: OK" in text
+
 
 class TestStats:
     @pytest.mark.parametrize("workload", ["identity", "universal"])
