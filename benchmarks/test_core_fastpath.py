@@ -250,10 +250,7 @@ def bench_simulate_throughput() -> dict:
     byte-identical traces (asserted below — a fast path that drifts is a
     bug, not a speedup).
     """
-    import itertools as _it
-
     from repro import _speed
-    from repro.executive import descriptions as _descriptions
     from repro.executive.scheduler import run_program
     from repro.executive.splitting import TaskSizer
     from repro.sim.persist import trace_to_dict
@@ -266,7 +263,6 @@ def bench_simulate_throughput() -> dict:
     program = build_workload("identity", {"n": n})
 
     def run_once(fastpath, compiled):
-        _descriptions._description_ids = _it.count(1)
         return run_program(
             program,
             workers,

@@ -24,8 +24,6 @@ from repro.executive.queues import ConflictQueue
 
 __all__ = ["DescriptionState", "ComputationDescription"]
 
-_description_ids = itertools.count(1)
-
 
 class DescriptionState(enum.Enum):
     """Lifecycle of a description."""
@@ -57,6 +55,12 @@ class ComputationDescription:
         Whether the description was placed in the waiting queue with
         elevated priority (the control strategy for enabling granules of
         indirect mappings).
+    ids:
+        Where the description's ``id`` comes from; descriptions split off
+        it draw from the same source.  Each executive simulation passes
+        its own counter, so ids (and the trace labels that carry them)
+        do not depend on earlier runs in the process.  ``None`` starts a
+        fresh counter at 1.
     """
 
     __slots__ = (
@@ -70,6 +74,7 @@ class ComputationDescription:
         "splits",
         "merges",
         "attempts",
+        "_ids",
     )
 
     def __init__(
@@ -78,10 +83,12 @@ class ComputationDescription:
         phase_name: str,
         granules: GranuleSet,
         elevated: bool = False,
+        ids: Iterator[int] | None = None,
     ) -> None:
         if not granules:
             raise ValueError("a computation description must describe at least one granule")
-        self.id = next(_description_ids)
+        self._ids = itertools.count(1) if ids is None else ids
+        self.id = next(self._ids)
         self.phase_run = phase_run
         self.phase_name = phase_name
         self.granules = granules
@@ -115,7 +122,9 @@ class ComputationDescription:
         head, rest = self.granules.take(n)
         self.granules = rest
         self.splits += 1
-        child = ComputationDescription(self.phase_run, self.phase_name, head, elevated=self.elevated)
+        child = ComputationDescription(
+            self.phase_run, self.phase_name, head, elevated=self.elevated, ids=self._ids
+        )
         # a retried description that gets re-split must not reset its
         # failure count, or max_retries could be evaded by splitting
         child.attempts = self.attempts

@@ -344,7 +344,7 @@ class _CompletionJob:
                 newly = newly | run.engine_to_next.complete_all()
             fresh = (newly - succ.queued) - succ.assigned
             if fresh:
-                child = ComputationDescription(succ.gid, succ.spec.name, fresh)
+                child = ex._describe(succ, fresh)
                 desc.queue_conflicting(child)
         for child in desc.release_conflicts():
             child.state = DescriptionState.WAITING

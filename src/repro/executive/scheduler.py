@@ -41,6 +41,7 @@ machine's management queue, charged per
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -372,6 +373,8 @@ class ExecutiveSimulation:
         self.lateral_handoffs = 0
         self.streams_rng = RngStreams(seed)
         self.queue = WaitingComputationQueue()
+        #: numbers this simulation's descriptions (succ-split:<phase>:<id>)
+        self._description_ids = itertools.count(1)
 
         self.runs: list[_RunState] = []
         self.streams: list[_Stream] = []
@@ -500,6 +503,14 @@ class ExecutiveSimulation:
                 )
             )
 
+    def _describe(
+        self, run: _RunState, granules: GranuleSet, elevated: bool = False
+    ) -> ComputationDescription:
+        """A new description of ``granules`` of ``run``."""
+        return ComputationDescription(
+            run.gid, run.spec.name, granules, elevated, ids=self._description_ids
+        )
+
     def _next_run(self, run: _RunState) -> _RunState | None:
         if run.index + 1 < len(run.stream.runs):
             return run.stream.runs[run.index + 1]
@@ -594,7 +605,7 @@ class ExecutiveSimulation:
             if run.stream.start_time is None:
                 run.stream.start_time = self.sim.now
             run.enabled = GranuleSet.universe(run.n)
-            root = ComputationDescription(run.gid, run.spec.name, run.enabled)
+            root = self._describe(run, run.enabled)
             self.queue.push(root)
             run.queued = run.enabled
             self.trace.log(self.sim.now, EventKind.PHASE_START, run.spec.name, run=run.gid)
@@ -687,7 +698,7 @@ class ExecutiveSimulation:
                 d += self._elevate_enabling_granules(run, engine, new_descs)
         initially = engine.initially_enabled()
         if initially:
-            desc = ComputationDescription(succ.gid, succ.spec.name, initially)
+            desc = self._describe(succ, initially)
             new_descs.append(desc)
         return d
 
@@ -805,7 +816,7 @@ class ExecutiveSimulation:
                 desc.granules = desc.granules - inter
                 if not desc.granules:
                     self.queue.remove(desc)
-                child = ComputationDescription(run.gid, run.spec.name, inter, elevated=True)
+                child = self._describe(run, inter, elevated=True)
                 new_descs.append(child)
                 charged += self.costs.split
                 if self._m_elevated is not None:
@@ -1031,7 +1042,7 @@ class ExecutiveSimulation:
         ) - succ.queued
         if not candidate:
             return
-        child = ComputationDescription(succ.gid, succ.spec.name, candidate)
+        child = self._describe(succ, candidate)
         task_time = self.ext.lateral_cost + _task_duration(
             succ.spec, candidate, self._rng(f"cost:{succ.gid}")
         )
@@ -1111,7 +1122,7 @@ class ExecutiveSimulation:
                     newly = newly | run.engine_to_next.complete_all()
                 fresh = (newly - succ.queued) - succ.assigned
                 if fresh:
-                    child = ComputationDescription(succ.gid, succ.spec.name, fresh)
+                    child = self._describe(succ, fresh)
                     desc.queue_conflicting(child)
             for child in desc.release_conflicts():
                 child.state = DescriptionState.WAITING
@@ -1429,7 +1440,7 @@ class ExecutiveSimulation:
         remaining = (GranuleSet.universe(run.n) - run.enabled) - run.assigned
         if remaining:
             run.enabled = run.enabled | remaining
-            desc = ComputationDescription(run.gid, run.spec.name, remaining)
+            desc = self._describe(run, remaining)
             run.queued = run.queued | remaining
             self.queue.push(desc)
             self._note_queue_depth()

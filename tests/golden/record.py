@@ -22,14 +22,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import sys
 from pathlib import Path
 from typing import Any
 
 from repro.core.overlap import OverlapConfig, OverlapPolicy, SplitStrategy
-from repro.executive import descriptions
 from repro.executive.extensions import Extensions
 from repro.executive.scheduler import RunResult, run_program
 from repro.executive.splitting import TaskSizer
@@ -90,7 +88,6 @@ def run_kwargs(spec: dict[str, Any]) -> dict[str, Any]:
 
 def run_case(spec: dict[str, Any], **overrides: Any) -> RunResult:
     """Run one case; ``overrides`` are extra ``run_program`` arguments."""
-    descriptions._description_ids = itertools.count(1)
     program = build_workload(spec["workload"], spec.get("params"))
     return run_program(program, spec.get("workers", 8), **run_kwargs(spec), **overrides)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.core.granule import GranuleSet
@@ -23,7 +25,27 @@ class TestLifecycle:
             ComputationDescription(0, "p", GranuleSet.empty())
 
     def test_unique_ids(self):
-        assert desc().id != desc().id
+        ids = itertools.count(1)
+        a = ComputationDescription(0, "p", GranuleSet.from_ranges([(0, 8)]), ids=ids)
+        b = ComputationDescription(0, "p", GranuleSet.from_ranges([(8, 16)]), ids=ids)
+        child = a.split(3)  # splits draw from the parent's id source
+        assert len({a.id, b.id, child.id}) == 3
+
+
+class TestPerSimulationIds:
+    def test_back_to_back_runs_are_byte_identical(self):
+        """Each simulation numbers its own descriptions, so labels such as
+        ``succ-split:<phase>:<id>`` do not depend on earlier runs."""
+        from repro.executive.scheduler import run_program
+        from repro.sweep.runner import build_workload
+        from tests.golden.record import canonical
+
+        first, second = (
+            canonical(run_program(build_workload("identity"), 8, seed=3))
+            for _ in range(2)
+        )
+        assert b"succ-split:" in first
+        assert first == second
 
 
 class TestSplit:

@@ -11,14 +11,10 @@ full persisted trace — is **byte-identical** across
 * ``fastpath=True``  (the slotted dispatch layer), and
 * the compiled extension, when built (skipped otherwise; CI builds it).
 
-``ComputationDescription`` ids come from a process-global counter, so
-every run here resets it — two back-to-back runs of the *same* path
-would otherwise differ in ``succ-split:...`` labels.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 
@@ -28,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro import _speed
 from repro.core.overlap import OverlapConfig, SplitStrategy
-from repro.executive import descriptions
 from repro.executive.scheduler import run_program
 from repro.executive.splitting import TaskSizer
 from repro.faults.plan import (
@@ -50,10 +45,6 @@ from repro.sweep.runner import build_workload, result_summary, workload_names
 COMPILED = _speed.compiled_available()
 
 
-def _reset_description_ids() -> None:
-    descriptions._description_ids = itertools.count(1)
-
-
 def canonical(result) -> tuple[str, str]:
     """The two byte-exact artifacts a run is judged by."""
     return (
@@ -63,7 +54,6 @@ def canonical(result) -> tuple[str, str]:
 
 
 def run_once(workload, fastpath, *, compiled=False, params=None, **kw):
-    _reset_description_ids()
     program = build_workload(workload, params)
     return run_program(
         program, kw.pop("workers", 8), fastpath=fastpath, compiled=compiled, **kw
@@ -144,7 +134,6 @@ class TestFaultInjection:
         events = []
         for fastpath in (False, True):
             tel = Telemetry()
-            _reset_description_ids()
             result = run_program(
                 build_workload("identity"),
                 8,
@@ -166,7 +155,6 @@ class TestSanitizer:
 
         reports = []
         for fastpath in (False, True):
-            _reset_description_ids()
             program = build_workload("checkerboard")
             result = run_program(program, 8, seed=3, fastpath=fastpath)
             report = sanitize_result(result, program)
@@ -274,7 +262,6 @@ class TestNoopMgmtSpans:
         no zero-length mgmt interval labelled ``assign:*`` survives
         unless it did real work (real work pays ``costs.assign`` > 0)."""
         for fastpath in (False, True):
-            _reset_description_ids()
             result = run_program(
                 build_workload("identity"), 8, seed=3, fastpath=fastpath
             )
