@@ -18,12 +18,10 @@ docs/PERFORMANCE.md):
   runner cannot exhibit real speedup; normalizing keeps the metric
   meaningful everywhere);
 * ``simulate_throughput`` — end-to-end events/s of one full simulation on
-  a dispatch-heavy configuration, pure reference (``fastpath=False``) vs
-  the slotted dispatch layer (``fastpath=True``) vs the compiled
-  extension when built.  ``fastpath_speedup`` compares two runs on the
-  same interpreter in the same process, so it is noise-normalized;
-  ``check_bench_regression.py`` holds it above an absolute 1.3x floor
-  (2x for ``compiled_speedup`` when the extension is present).
+  a dispatch-heavy configuration (the ``bench/simulate-throughput`` golden
+  case, whose digest the run must reproduce);
+  ``check_bench_regression.py`` holds it above the committed baseline
+  divided by 1.3.
 
 ``BENCH_QUICK=1`` shrinks problem sizes for CI. Run directly
 (``python benchmarks/test_core_fastpath.py``) or via pytest; either path
@@ -234,103 +232,39 @@ def bench_sweep_scaling() -> dict:
 
 # ------------------------------------------------------------------ simulation
 def bench_simulate_throughput() -> dict:
-    """End-to-end simulation events/s, pure vs fastpath (vs compiled).
+    """End-to-end simulation events/s on the benchmark golden case.
 
     Dispatch-heavy configuration: many small tasks on a mid-size machine,
     so per-event executive dispatch — not granule algebra — dominates.
-    The reps are interleaved ABBA-style and each path's timing is its
-    min-of-N: noise on a shared host is strictly additive, so the minimum
-    approaches each path's true cost, and interleaving gives every path a
-    shot at the same quiet windows — a back-to-back block design would
-    let a load spike land entirely inside one path's window.  The gated
-    speedup is the ratio of those minima; the per-rep paired median is
-    reported alongside as a diagnostic (it cancels slow frequency drift
-    but compresses toward 1 under additive load, so it is not the gate).
-    The description-id counter is reset per run so all paths emit
-    byte-identical traces (asserted below — a fast path that drifts is a
-    bug, not a speedup).
+    The timing is the min of N runs: noise on a shared host is strictly
+    additive, so the minimum approaches the true cost.  The run must
+    reproduce the case's recorded digest — a speed-up that changes the
+    trace is a bug, not a speed-up.
     """
-    from repro import _speed
     from repro.executive.scheduler import run_program
-    from repro.executive.splitting import TaskSizer
-    from repro.sim.persist import trace_to_dict
-    from repro.sweep.runner import build_workload, result_summary
+    from repro.sweep.runner import build_workload
+    from tests.golden.record import digest, load_cases, run_kwargs
 
-    workers, tpp, n = 32, 32.0, 4096
-    # odd rep counts keep the median a real middle observation; 2 reps
-    # would degenerate the "median" into the max
+    case = load_cases()["bench/simulate-throughput"]
+    spec = case["spec"]
+    program = build_workload(spec["workload"], spec["params"])
+    kwargs = run_kwargs(spec)
+
+    def run_once():
+        return run_program(program, spec["workers"], **kwargs)
+
+    result = run_once()  # untimed warmup, also the digest check
+    assert digest(result) == case["digest"], "simulate_throughput left its golden digest"
     reps = 3 if QUICK else 7
-    program = build_workload("identity", {"n": n})
-
-    def run_once(fastpath, compiled):
-        return run_program(
-            program,
-            workers,
-            seed=3,
-            fastpath=fastpath,
-            compiled=compiled,
-            sizer=TaskSizer(tasks_per_processor=tpp),
-        )
-
-    def canon(result):
-        return (
-            json.dumps(result_summary(result), sort_keys=True, default=str),
-            json.dumps(trace_to_dict(result.trace), sort_keys=True, default=str),
-        )
-
-    #: (fastpath, compiled) per measured path; compiled rides along when built
-    paths = [(False, False), (True, False)]
-    if _speed.compiled_available():
-        paths.append((True, True))
-
-    best = {p: float("inf") for p in paths}
-    times = {p: [] for p in paths}
-    results = {}
-    for p in paths:  # untimed warmup, also yields the identity check results
-        results[p] = run_once(*p)
-    for rep in range(reps):
-        order = paths if rep % 2 == 0 else paths[::-1]
-        for p in order:
-            t0 = time.perf_counter()
-            run_once(*p)
-            dt = time.perf_counter() - t0
-            times[p].append(dt)
-            best[p] = min(best[p], dt)
-
-    def paired_speedup(path):
-        ratios = sorted(
-            tp / tf for tp, tf in zip(times[(False, False)], times[path])
-        )
-        return ratios[len(ratios) // 2]
-
-    r_pure = results[(False, False)]
-    t_pure, t_fast = best[(False, False)], best[(True, False)]
-    assert canon(r_pure) == canon(results[(True, False)]), (
-        "fastpath diverged from reference"
-    )
-    events = len(r_pure.trace.records)
-
-    out = {
-        "workers": workers,
-        "tasks_per_processor": tpp,
-        "n_granules": n,
+    best = min(_time(run_once) for _ in range(reps))
+    events = len(result.trace.records)
+    return {
+        "workers": spec["workers"],
+        "tasks_per_processor": kwargs["sizer"].tasks_per_processor,
+        "n_granules": spec["params"]["n"],
         "events": events,
-        "sim_path": results[paths[-1]].sim_path,
-        "events_per_second": events / t_fast,
-        "events_per_second_pure": events / t_pure,
-        "fastpath_speedup": t_pure / t_fast,
-        "fastpath_speedup_paired": paired_speedup((True, False)),
+        "events_per_second": events / best,
     }
-    if (True, True) in best:
-        t_comp = best[(True, True)]
-        assert canon(r_pure) == canon(results[(True, True)]), (
-            "compiled diverged from reference"
-        )
-        out["events_per_second"] = events / t_comp
-        out["events_per_second_fastpath"] = events / t_fast
-        out["compiled_speedup"] = t_pure / t_comp
-        out["compiled_speedup_paired"] = paired_speedup((True, True))
-    return out
 
 
 # ------------------------------------------------------------------ driver
@@ -368,14 +302,14 @@ def test_core_fastpath():
     # a reused warm pool has no spawn/import cost left to attribute
     assert results["sweep_scaling"]["warmup_seconds_on_reused_pool"] < 0.1
     assert results["sweep_scaling"]["effective_workers"] >= 1.0
-    sim = results["simulate_throughput"]
-    assert sim["fastpath_speedup"] >= 1.3, sim
-    if "compiled_speedup" in sim:
-        assert sim["compiled_speedup"] >= 2.0, sim
     print(json.dumps(results, indent=2, sort_keys=True))
 
 
 if __name__ == "__main__":
+    import sys
+
+    # the simulate bench reads the golden corpus in tests/golden
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
     out = run_all()
     write_report(out)
     print(json.dumps(out, indent=2, sort_keys=True))

@@ -393,12 +393,6 @@ def _add_run_options(parser: argparse.ArgumentParser, workload_optional: bool = 
     parser.add_argument("--lateral-handoff", action="store_true")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tasks-per-processor", type=float, default=2.0)
-    parser.add_argument(
-        "--no-compiled",
-        action="store_true",
-        help="skip the compiled simulation core even when built "
-        "(REPRO_COMPILED=0 in the environment does the same)",
-    )
     fault = parser.add_argument_group("fault injection")
     fault.add_argument(
         "--crash",
@@ -510,7 +504,6 @@ def _run_workload(args, telemetry=None):
         seed=args.seed,
         extensions=extensions,
         telemetry=telemetry,
-        compiled=False if args.no_compiled else None,
         **_fault_arguments(args),
     )
     return result, program
@@ -616,7 +609,6 @@ def _cmd_stats(args, out) -> int:
 
     mode = "barrier" if args.barrier else "next-phase overlap"
     print(f"workload     : {args.workload} ({mode})", file=out)
-    print(f"sim path     : {result.sim_path}", file=out)
     print(f"makespan     : {result.makespan:.2f}", file=out)
     print(f"utilization  : {result.utilization:.1%}", file=out)
     print(f"bus events   : {telemetry.bus.events_published}", file=out)

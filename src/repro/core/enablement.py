@@ -327,23 +327,21 @@ class EnablementEngine:
     ``notify(delta)`` returns the successor granules that have *just*
     become enabled, never repeating earlier answers.
 
-    The counter mode has three notify implementations of increasing
-    speed, all pinned element-identical by differential tests:
+    The counter mode has two notify implementations, pinned
+    element-identical by differential tests:
 
+    * ``indexed=True`` (the default) — a CSR inverted index maps each
+      predecessor granule to the groups it credits; counter values live
+      in one int64 array and a whole completion delta is credited with a
+      single ``np.bincount`` over the index, no per-group Python loop
+      until something actually fires;
     * ``indexed=False`` — scan every counter per completion (the
-      reference);
-    * ``indexed=True, vectorized=False`` — CSR inverted index narrows
-      the scan to candidate groups, counters still credited one by one;
-    * ``indexed=True, vectorized=True`` (the default) — counter values
-      live in one int64 array and a whole completion delta is credited
-      with a single ``np.bincount`` over the index, no per-group Python
-      loop until something actually fires.
+      reference the tests and benchmarks compare against).
 
-    In vectorized mode the per-group :class:`EnablementCounter` objects
-    keep their ``required`` set and have ``fired`` synced when a group
-    fires, but their ``remaining`` sets are **not** maintained — the
-    authoritative countdown is the array.  Pass ``vectorized=False`` if
-    per-counter remaining sets must stay observable mid-phase.
+    With the index, the per-group :class:`EnablementCounter` objects keep
+    their ``required`` set and have ``fired`` synced when a group fires,
+    but their ``remaining`` sets are **not** maintained — the
+    authoritative countdown is the array.
     """
 
     def __init__(
@@ -355,7 +353,6 @@ class EnablementEngine:
         group_size: int = 1,
         target: GranuleSet | None = None,
         indexed: bool = True,
-        vectorized: bool | None = None,
         composite_cache: CompositeMapCache | None = None,
     ) -> None:
         self.mapping = mapping
@@ -376,8 +373,8 @@ class EnablementEngine:
         # kept for differential tests and benchmarks).
         self._index_offsets: np.ndarray | None = None
         self._index_gids: np.ndarray | None = None
-        # vectorized counter state: outstanding-credit count and fired flag
-        # per composite group, None unless the vectorized path is active
+        # indexed counter state: outstanding-credit count and fired flag
+        # per composite group, None unless the index is built
         self._counts: np.ndarray | None = None
         self._group_fired: np.ndarray | None = None
 
@@ -396,16 +393,12 @@ class EnablementEngine:
                 self._enabled = GranuleSet.union_all(initially)
             if indexed:
                 self._build_index()
-                if vectorized is None or vectorized:
-                    self._counts = np.array(
-                        [counter.count for _, counter in self._counters],
-                        dtype=np.int64,
-                    )
-                    self._group_fired = np.array(
-                        [counter.fired for _, counter in self._counters], dtype=bool
-                    )
-            elif vectorized:
-                raise ValueError("vectorized=True requires indexed=True")
+                self._counts = np.array(
+                    [counter.count for _, counter in self._counters], dtype=np.int64
+                )
+                self._group_fired = np.array(
+                    [counter.fired for _, counter in self._counters], dtype=bool
+                )
         else:
             self._enabled = mapping.enabled_by(self.completed, n_pred, n_succ, maps)
 
@@ -476,8 +469,6 @@ class EnablementEngine:
         newly = GranuleSet.empty()
         if self._counters:
             if self._counts is not None:
-                newly = self._notify_vectorized(fresh)
-            elif self._index_offsets is not None:
                 newly = self._notify_indexed(fresh)
             else:
                 fired = [
@@ -495,28 +486,6 @@ class EnablementEngine:
         return newly
 
     def _notify_indexed(self, fresh: GranuleSet) -> GranuleSet:
-        """Credit ``fresh`` completions through the inverted index."""
-        offsets, gids = self._index_offsets, self._index_gids
-        assert offsets is not None and gids is not None
-        parts: list[np.ndarray] = []
-        for r in fresh.ranges:
-            lo = offsets[min(max(r.start, 0), self.n_pred)]
-            hi = offsets[min(max(r.stop, 0), self.n_pred)]
-            if hi > lo:
-                parts.append(gids[lo:hi])
-        if not parts:
-            return GranuleSet.empty()
-        candidates = np.unique(np.concatenate(parts) if len(parts) > 1 else parts[0])
-        fired: list[GranuleSet] = []
-        for gi in candidates:
-            succ, counter = self._counters[gi]
-            if counter.on_complete(fresh):
-                fired.append(succ)
-        if not fired:
-            return GranuleSet.empty()
-        return GranuleSet.union_all(fired)
-
-    def _notify_vectorized(self, fresh: GranuleSet) -> GranuleSet:
         """Credit ``fresh`` completions in bulk through the inverted index.
 
         The index enumerates each ``(predecessor granule, group)`` pair

@@ -1,11 +1,9 @@
-"""The executive's restructured inner loop (fast path).
+"""The executive's per-task actions: assignment, completion, hand-off.
 
-:mod:`repro.executive.scheduler` keeps the paper-shaped reference
-implementation: every management action allocates nested ``duration()`` /
-``done()`` closures that re-derive the phase run, task size, cost model,
-RNG stream and label strings on each call.  That shape reads well but
-dominates the per-event cost of a run.  This module is the same executive
-logic flattened for speed and compilability:
+:class:`~repro.executive.scheduler.ExecutiveSimulation` owns the phase
+runs, their initiation and overlap set-up, the frontier and fault
+recovery.  Everything that happens once per task lives here, flattened
+for speed:
 
 * one :class:`_RunCache` per phase run precomputes everything that is
   constant for the run's lifetime — task size, cost-model dispatch kind,
@@ -13,21 +11,17 @@ logic flattened for speed and compilability:
   prefixes, the successor run and the identity-like overlap verdict;
 * each management action is a precomputed **slotted job record**
   (:class:`_AssignJob`, :class:`_CompletionJob`, :class:`_PresplitJob`,
-  :class:`_SuccessorSplitJob`, :class:`_OverlapInitJob`) implementing the
+  :class:`_SuccessorSplitJob`) implementing the
   :meth:`~repro.sim.machine.Machine.submit_job` interface —
   ``resolve_duration()`` / ``on_done`` / ``label`` / ``category`` /
   ``noop`` — so the machine dispatches bound methods instead of closure
-  cells; the :data:`JOB_KINDS` table enumerates them;
+  cells, and a task's completion is a slotted :class:`_TaskDone`;
 * the data-proximity scan walks the waiting queue's rings directly
   (:meth:`WaitingComputationQueue.first_in_window`) instead of driving
   generator frames through ``__iter__``.
 
-Behavior is **byte-identical** to the reference: both paths issue the
-same management jobs in the same order with the same float arithmetic,
-draw from the same memoized RNG streams, and write the same trace and
-telemetry records (pinned by ``tests/test_fastpath_differential.py``).
-This module is one of the three compiled by the optional extension
-(docs/PERFORMANCE.md, "Compiled inner loops").
+The recorded digests under ``tests/golden/`` pin the resulting traces
+byte for byte.
 """
 
 from __future__ import annotations
@@ -35,6 +29,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from repro.core.granule import GranuleSet
 from repro.core.mapping import MappingKind
 from repro.core.overlap import SplitStrategy
 from repro.core.phase import ConstantCost
@@ -48,11 +43,10 @@ from repro.obs.events import (
 from repro.sim.events import EventKind
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.granule import GranuleSet
     from repro.executive.scheduler import ExecutiveSimulation, _RunState
     from repro.sim.machine import Processor
 
-__all__ = ["HotLoop", "JOB_KINDS"]
+__all__ = ["HotLoop"]
 
 # cost-model dispatch kinds resolved once per run (see _RunCache.task_duration)
 _COST_CONSTANT = 0
@@ -63,7 +57,7 @@ _IDENTITY_LIKE = (MappingKind.IDENTITY, MappingKind.SEAM)
 
 
 class _RunCache:
-    """Per-phase-run constants the reference path re-derives per event."""
+    """Per-phase-run constants, resolved once instead of per event."""
 
     __slots__ = (
         "run",
@@ -102,14 +96,13 @@ class _RunCache:
                 self.cost_sampler = sample_total
             else:
                 self.cost_kind = _COST_PER_GRANULE
-        # RngStreams.get memoizes by name, so grabbing the stream eagerly
-        # yields the very generator object the reference path resolves
-        # lazily — identical draw sequences either way.
+        # RngStreams.get memoizes by name: this is the run's one cost stream
         self.rng = ex._rng(f"cost:{run.gid}")
         succ_index = run.index + 1
         self.succ = (
             run.stream.runs[succ_index] if succ_index < len(run.stream.runs) else None
         )
+        # format_task_label(name, gid, granules) == label_prefix + repr(granules)
         self.label_prefix = f"{run.spec.name}#{run.gid}:"
         self.complete_label = f"complete:{run.spec.name}#{run.gid}"
         self.presplit_prefix = f"presplit:{run.spec.name}#{run.gid}:"
@@ -118,8 +111,11 @@ class _RunCache:
         self.identity_like: bool | None = None
 
     def identity_like_overlap(self) -> bool:
-        """Memoized ``_identity_like_overlap``: the engine's mapping kind
-        never changes once the overlap-init job installs it."""
+        """Does this run's overlap link need successor-description splits?
+
+        Memoized: the engine's mapping kind never changes once the
+        overlap-init job installs it.
+        """
         verdict = self.identity_like
         if verdict is not None:
             return verdict
@@ -130,8 +126,8 @@ class _RunCache:
         self.identity_like = verdict
         return verdict
 
-    def task_duration(self, granules: "GranuleSet") -> float:
-        """``_task_duration`` with the isinstance/getattr dispatch hoisted."""
+    def task_duration(self, granules: GranuleSet) -> float:
+        """Total execution time of a chunk of this run's granules."""
         kind = self.cost_kind
         if kind == _COST_CONSTANT:
             return self.cost_value * len(granules)
@@ -145,10 +141,9 @@ class _RunCache:
 class _AssignJob:
     """One executive assignment: pick, maybe split, and start a task.
 
-    Replaces ``_request_work``'s ``chosen`` dict plus ``duration`` /
-    ``done`` closure pair; the selected description lives in the ``desc``
-    slot, and ``noop`` reports the queue-drained case so the machine
-    skips the phantom zero-length span (see ISSUE 10 satellite fix).
+    The selected description lives in the ``desc`` slot; ``noop`` reports
+    the queue-drained case (nothing was selected), so the machine records
+    no phantom zero-length ``assign:*`` span for it.
     """
 
     __slots__ = ("hl", "proc", "desc", "label")
@@ -196,14 +191,14 @@ class _AssignJob:
         hl = self.hl
         ex = hl.ex
         proc = self.proc
-        ex._assign_pending.discard(proc.index)
+        hl.pending.discard(proc.index)
         desc = self.desc
         if desc is None:
             return
         cache = hl.caches[desc.phase_run]
         run = cache.run
         task_time = cache.task_duration(desc.granules)
-        if hl.remote_penalty > 1.0 and not ex._chunk_is_local(proc, desc):
+        if hl.remote_penalty > 1.0 and not hl.chunk_is_local(proc, desc):
             task_time *= hl.remote_penalty
         injector = ex._injector
         if injector is not None and injector.has_stragglers:
@@ -220,29 +215,7 @@ class _AssignJob:
             hl.queue.push_front(desc, elevated=desc.elevated)
             return
         ex._in_flight[proc.index] = desc
-        # --- _note_assignment, inlined -------------------------------
-        now = ex.sim._now
-        desc.state = DescriptionState.RUNNING
-        granules = desc.granules
-        run.assigned = run.assigned | granules
-        run.queued = run.queued - granules
-        run.stats.tasks += 1
-        obs = ex.obs
-        if obs is not None:
-            bus = obs.bus
-            bus.publish(
-                GranuleDispatched(
-                    now, hl.proc_names[proc.index], cache.name, cache.gid, len(granules)
-                )
-            )
-            bus.publish(QueueDepthChanged(now, len(hl.queue)))
-        ex._affinity[proc.index] = (granules.min(), granules.max() + 1)
-        stats = run.stats
-        if stats.first_task_start is None:
-            stats.first_task_start = now
-        if run.fully_assigned and stats.last_assign_time is None:
-            stats.last_assign_time = now
-        # -------------------------------------------------------------
+        hl.note_assignment(cache, desc, proc)
         if (
             hl.successor_task_split
             and cache.identity_like_overlap()
@@ -253,7 +226,7 @@ class _AssignJob:
 
 
 class _TaskDone:
-    """Per-task completion callback (replaces the per-task lambda)."""
+    """Per-task completion callback."""
 
     __slots__ = ("hl", "desc")
 
@@ -286,8 +259,8 @@ class _TaskDone:
                     len(desc.granules),
                 )
             )
-        if hl.lateral_handoff:
-            ex._try_lateral_handoff(desc, proc)
+        if hl.lateral:
+            hl.try_lateral_handoff(cache, desc, proc)
         hl.machine.submit_job(_CompletionJob(hl, cache, desc))
 
 
@@ -308,9 +281,12 @@ class _CompletionJob:
         self.label = cache.complete_label
 
     def resolve_duration(self) -> float:
-        # Pricing only — state changes happen atomically in on_done() (see
-        # the reference implementation for the middle-management race
-        # this avoids).
+        # Pricing only — completion processing's state changes happen
+        # atomically in on_done().  With a middle-management pool,
+        # completion jobs on different servers can *finish* out of order;
+        # mutating here would open a window between computing the enabled
+        # successor set and queueing it, during which another server could
+        # advance the frontier and queue the same granules again.
         hl = self.hl
         cache = self.cache
         run = cache.run
@@ -365,7 +341,7 @@ class _CompletionJob:
 
 
 class _PresplitJob:
-    """One background pre-split chunk (``_schedule_presplits``)."""
+    """One background pre-split chunk (see :meth:`HotLoop.schedule_presplits`)."""
 
     __slots__ = ("run", "chunk_index", "cost", "label")
 
@@ -393,7 +369,8 @@ class _PresplitJob:
 
 
 class _SuccessorSplitJob:
-    """One deferred successor-splitting task (``_schedule_successor_split``)."""
+    """One deferred successor-splitting task (see
+    :meth:`HotLoop.schedule_successor_split`)."""
 
     __slots__ = ("run", "desc_id", "cost", "label")
 
@@ -415,58 +392,13 @@ class _SuccessorSplitJob:
         self.run.inline_split_chunks.add(self.desc_id)
 
 
-class _OverlapInitJob:
-    """Overlapped successor initiation (``_maybe_overlap_next``).
-
-    Cold (once per adjacent phase pair), so the heavy lifting stays in
-    the scheduler's shared ``_overlap_init_duration`` /
-    ``_overlap_init_done`` methods; the record only replaces the closure
-    pair and its captured cells.
-    """
-
-    __slots__ = ("ex", "run", "succ", "mapping", "serial_barrier", "new_descs", "label")
-
-    category = "mgmt"
-    noop = None
-
-    def __init__(self, ex: "ExecutiveSimulation", run, succ, mapping, serial_barrier):
-        self.ex = ex
-        self.run = run
-        self.succ = succ
-        self.mapping = mapping
-        self.serial_barrier = serial_barrier
-        self.new_descs: list[ComputationDescription] = []
-        self.label = f"overlap-init:{succ.spec.name}#{succ.gid}"
-
-    def resolve_duration(self) -> float:
-        return self.ex._overlap_init_duration(self.run, self.succ, self.mapping, self.new_descs)
-
-    def on_done(self) -> None:
-        self.ex._overlap_init_done(
-            self.run, self.succ, self.mapping, self.serial_barrier, self.new_descs
-        )
-
-
-#: Dispatch table of slotted job-record kinds the fast path submits in
-#: place of the reference path's closure pairs.
-JOB_KINDS: dict[str, type] = {
-    "assign": _AssignJob,
-    "completion": _CompletionJob,
-    "presplit": _PresplitJob,
-    "successor_split": _SuccessorSplitJob,
-    "overlap_init": _OverlapInitJob,
-    "task_done": _TaskDone,
-}
-
-
 class HotLoop:
-    """Fast-path executive bound to one :class:`ExecutiveSimulation`.
+    """The per-task half of one :class:`ExecutiveSimulation`.
 
     Construction precomputes per-run caches, per-processor assignment
-    labels and flat copies of the cost/extension constants; the scheduler
-    then routes ``_request_work`` / task completion / presplit /
-    successor-split / overlap-init submissions through the job records
-    above instead of allocating closures.
+    labels and flat copies of the cost/extension constants.  The machine's
+    idle hook is :meth:`request_work`; the scheduler calls
+    :meth:`dispatch_idle` whenever new work may have become assignable.
     """
 
     __slots__ = (
@@ -476,6 +408,8 @@ class HotLoop:
         "caches",
         "assign_labels",
         "proc_names",
+        "pending",
+        "affinity",
         "cost_assign",
         "cost_split",
         "cost_completion",
@@ -484,7 +418,8 @@ class HotLoop:
         "presplit_cost",
         "demand_split",
         "successor_task_split",
-        "lateral_handoff",
+        "lateral",
+        "lateral_cost",
         "remote_penalty",
         "data_proximity",
         "proximity_scan",
@@ -498,6 +433,15 @@ class HotLoop:
         self.caches = [_RunCache(ex, run) for run in ex.runs]
         self.assign_labels = [f"assign:P{i}" for i in range(ex.machine.n_workers)]
         self.proc_names = ex.machine._proc_names
+        #: processor indices with an assignment job queued or running
+        self.pending: set[int] = set()
+        #: worker index -> (start, stop) of the granule *data region* it
+        #: last computed.  Granule indices name data regions (identity and
+        #: seam mappings preserve them across phases), so affinity is
+        #: deliberately phase-agnostic: the worker that computed
+        #: predecessor granules [a, b) is local to successor granules
+        #: [a, b) as well as to the continuation [b, ...).
+        self.affinity: dict[int, tuple[int, int]] = {}
         costs = ex.costs
         self.cost_assign = costs.assign
         self.cost_split = costs.split
@@ -509,7 +453,8 @@ class HotLoop:
         self.demand_split = config.split_strategy is SplitStrategy.DEMAND
         self.successor_task_split = config.split_strategy is SplitStrategy.SUCCESSOR_TASK
         ext = ex.ext
-        self.lateral_handoff = ext.lateral_handoff
+        self.lateral = ext.lateral_handoff
+        self.lateral_cost = ext.lateral_cost
         self.remote_penalty = ext.remote_penalty
         self.data_proximity = ext.data_proximity
         self.proximity_scan = ext.proximity_scan
@@ -517,20 +462,32 @@ class HotLoop:
 
     # ------------------------------------------------------------- dispatch
     def select_desc(self, proc: "Processor") -> ComputationDescription:
-        """``_select_desc`` without generator frames (ring-direct scan)."""
+        """The description the assignment serves next.
+
+        Default: the head of the waiting queue ("kept in a known order").
+        With the data-proximity extension, the executive first scans a few
+        queue entries for the chunk that continues the granule range the
+        worker just computed.
+        """
         queue = self.queue
         if not self.data_proximity:
-            return queue.peek_head()
-        affinity = self.ex._affinity.get(proc.index)
+            return queue.peek()
+        affinity = self.affinity.get(proc.index)
         if affinity is None:
-            return queue.peek_head()
+            return queue.peek()
         start, stop = affinity
         return queue.first_in_window(start, stop, self.proximity_scan)
 
+    def chunk_is_local(self, proc: "Processor", desc: ComputationDescription) -> bool:
+        affinity = self.affinity.get(proc.index)
+        if affinity is None:
+            return False
+        start, stop = affinity
+        return start <= desc.granules.min() <= stop
+
     def request_work(self, proc: "Processor") -> None:
-        """``_request_work`` submitting a slotted :class:`_AssignJob`."""
-        ex = self.ex
-        pending = ex._assign_pending
+        """Submit an assignment job for an idle ``proc`` (the idle hook)."""
+        pending = self.pending
         if proc.index in pending:
             return
         queue = self.queue
@@ -540,25 +497,24 @@ class HotLoop:
         self.machine.submit_job(_AssignJob(self, proc))
 
     def dispatch_idle(self) -> None:
-        """``_dispatch_idle`` with the idle snapshot taken ring-direct.
+        """Submit an assignment for every idle worker while work is queued.
 
-        The snapshot-then-submit order matches the reference: the idle
-        list is fixed before any assignment is submitted (submitting can
-        flip a SHARED-placement host to MGMT, mutating ``_idle_sorted``
-        mid-loop).  The per-processor pending check is folded into the
-        snapshot: the pending set only grows by this loop's own additions
-        — one per distinct index.  The queue-emptiness check is NOT
-        foldable: a submitted job on a free server resolves synchronously
-        and pops the queue (``_AssignJob.resolve_duration``), so the
-        queue can drain mid-loop and the remaining processors must not be
-        handed assignments, exactly as the reference's per-processor
-        re-check guarantees.
+        The idle list is snapshotted before any assignment is submitted
+        (submitting can flip a SHARED-placement host to MGMT, mutating
+        ``_idle_sorted`` mid-loop).  The per-processor pending check is
+        folded into the snapshot: the pending set only grows by this
+        loop's own additions — one per distinct index.  The
+        queue-emptiness check is NOT foldable: a submitted job on a free
+        server resolves synchronously and pops the queue
+        (:meth:`_AssignJob.resolve_duration`), so the queue can drain
+        mid-loop and the remaining processors must not be handed
+        assignments.
         """
         queue = self.queue
         if not (queue._elevated._size or queue._normal._size):
             return
         machine = self.machine
-        pending = self.ex._assign_pending
+        pending = self.pending
         hs = machine._host_server
         if not hs:
             ready = [i for i in machine._idle_sorted if i not in pending]
@@ -582,16 +538,90 @@ class HotLoop:
             pending.add(i)
             submit(_AssignJob(self, procs[i]))
 
-    def task_done_callback(self, desc: ComputationDescription) -> _TaskDone:
-        """Completion callback for a task started outside an assign job
-        (lateral hand-offs)."""
-        return _TaskDone(self, desc)
+    def note_assignment(
+        self, cache: _RunCache, desc: ComputationDescription, proc: "Processor"
+    ) -> None:
+        """Bookkeeping for a started task, executive-assigned or lateral."""
+        ex = self.ex
+        run = cache.run
+        now = ex.sim._now
+        desc.state = DescriptionState.RUNNING
+        granules = desc.granules
+        run.assigned = run.assigned | granules
+        run.queued = run.queued - granules
+        run.stats.tasks += 1
+        obs = ex.obs
+        if obs is not None:
+            bus = obs.bus
+            bus.publish(
+                GranuleDispatched(
+                    now, self.proc_names[proc.index], cache.name, cache.gid, len(granules)
+                )
+            )
+            bus.publish(QueueDepthChanged(now, len(self.queue)))
+        self.affinity[proc.index] = (granules.min(), granules.max() + 1)
+        stats = run.stats
+        if stats.first_task_start is None:
+            stats.first_task_start = now
+        if run.fully_assigned and stats.last_assign_time is None:
+            stats.last_assign_time = now
+
+    def try_lateral_handoff(
+        self, cache: _RunCache, desc: ComputationDescription, proc: "Processor"
+    ) -> None:
+        """Worker-to-worker hand-off: start the enabled successor chunk now.
+
+        With an identity mapping, the worker that just completed granules
+        ``g`` of the current phase *knows* granules ``g`` of the successor
+        are computable — no executive consultation needed.  The worker
+        starts them directly, paying only the lateral communication cost.
+        Granules already assigned or queued (including those waiting out a
+        retry backoff or a crash reassignment) are not handed off again.
+        """
+        run = cache.run
+        succ = cache.succ
+        engine = run.engine_to_next
+        if (
+            engine is None
+            or succ is None
+            or not succ.overlap_active
+            or engine.mapping.kind is not MappingKind.IDENTITY
+        ):
+            return
+        candidate = (
+            (desc.granules & GranuleSet.universe(succ.n)) - succ.assigned
+        ) - succ.queued
+        if not candidate:
+            return
+        ex = self.ex
+        child = ex._describe(succ, candidate)
+        succ_cache = self.caches[succ.gid]
+        task_time = self.lateral_cost + succ_cache.task_duration(candidate)
+        injector = ex._injector
+        if injector is not None and injector.has_stragglers:
+            task_time *= injector.slowdown(proc.index, ex.sim._now)
+        started = self.machine.start_task(
+            proc,
+            task_time,
+            _TaskDone(self, child),
+            label=succ_cache.label_prefix + repr(candidate),
+        )
+        if not started:
+            return
+        ex._in_flight[proc.index] = child
+        succ.enabled = succ.enabled | candidate
+        self.note_assignment(succ_cache, child, proc)
+        ex.lateral_handoffs += 1
 
     def schedule_presplits(self, run: "_RunState") -> None:
-        """``_schedule_presplits`` with slotted background jobs."""
+        """Queue background jobs that pre-split the run's task chunks.
+
+        "One possibility is to presplit the tasks before idle workers
+        present themselves to the executive.  This would allow the
+        executive to work ahead in otherwise idle time."
+        """
         cache = self.caches[run.gid]
-        tsize = cache.tsize
-        n_chunks = math.ceil(run.n / tsize)  # same rounding as the reference
+        n_chunks = math.ceil(run.n / cache.tsize)
         machine = self.machine
         cost = self.presplit_cost
         prefix = cache.presplit_prefix
@@ -601,7 +631,12 @@ class HotLoop:
     def schedule_successor_split(
         self, cache: _RunCache, desc: ComputationDescription
     ) -> None:
-        """``_schedule_successor_split`` with a slotted background job."""
+        """Queue the deferred successor-splitting task for one chunk.
+
+        "the splitting of a computation could generate a successor-
+        splitting task that could be quickly queued for later attention
+        when the executive would again be idle."
+        """
         job = _SuccessorSplitJob(
             cache.run,
             desc.id,
@@ -609,6 +644,3 @@ class HotLoop:
             cache.succ_split_prefix + str(desc.id),
         )
         self.machine.submit_job(job, background=True)
-
-    def overlap_init_job(self, run, succ, mapping, serial_barrier) -> _OverlapInitJob:
-        return _OverlapInitJob(self.ex, run, succ, mapping, serial_barrier)

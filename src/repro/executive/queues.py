@@ -152,13 +152,6 @@ class WaitingComputationQueue:
 
     def peek(self) -> Any:
         """The description that would be served next; IndexError if empty."""
-        for q in (self._elevated, self._normal):
-            for v in q:
-                return v
-        raise IndexError("peek on empty waiting queue")
-
-    def peek_head(self) -> Any:
-        """O(1) :meth:`peek` touching the ring heads directly (fast path)."""
         q = self._elevated
         if q._size == 0:
             q = self._normal
@@ -170,9 +163,8 @@ class WaitingComputationQueue:
         """First of the leading ``limit`` descriptions whose minimum granule
         falls in ``[start, stop]``, or the head if none does.
 
-        Equivalent to the data-proximity scan written against ``peek()`` /
-        ``__iter__`` but walks the rings directly, with no generator frames
-        (fast path; IndexError if empty).
+        Walks the rings directly, with no generator frames (IndexError if
+        empty).
         """
         scanned = 0
         head = None
@@ -181,7 +173,7 @@ class WaitingComputationQueue:
             node = sentinel.next
             while node is not sentinel:
                 if scanned >= limit:
-                    return head if head is not None else self.peek_head()
+                    return head if head is not None else self.peek()
                 desc = node.value
                 if head is None:
                     head = desc

@@ -36,7 +36,10 @@ Scheduling model (one-to-one with the paper's description):
 The executive is strictly serial: every management action is a job on the
 machine's management queue, charged per
 :class:`~repro.executive.costs.ExecutiveCosts`, hosted either on worker 0
-(SHARED) or on a separate server (DEDICATED).
+(SHARED) or on a separate server (DEDICATED).  The actions taken once per
+task — assignment, task completion, completion processing, presplit and
+successor-split jobs, lateral hand-off — live in
+:mod:`repro.executive.hotloop`; this module keeps the per-phase ones.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import numpy as np
 
 from repro.core.enablement import CompositeMapCache, EnablementEngine
 from repro.core.granule import GranuleSet
-from repro.core.mapping import EnablementMapping, MappingKind
+from repro.core.mapping import EnablementMapping
 from repro.core.overlap import (
     AdmissionDecision,
     OverlapConfig,
@@ -59,12 +62,12 @@ from repro.core.overlap import (
     SplitStrategy,
     admission_decision,
 )
-from repro.core.phase import ConstantCost, PhaseProgram, PhaseSpec, SerialAction
+from repro.core.phase import PhaseProgram, PhaseSpec, SerialAction
 from repro.core.predicate import overlap_is_safe
-from repro import _speed
 from repro.executive.costs import ExecutiveCosts
 from repro.executive.descriptions import ComputationDescription, DescriptionState
 from repro.executive.extensions import Extensions
+from repro.executive.hotloop import HotLoop
 from repro.executive.queues import WaitingComputationQueue
 from repro.executive.splitting import TaskSizer
 from repro.faults import (
@@ -75,19 +78,16 @@ from repro.faults import (
     RundownFailureReport,
 )
 from repro.obs.events import (
-    GranuleCompleted,
-    GranuleDispatched,
     GranuleRetried,
     ObsEvent,
     OverlapAdmitted,
     OverlapRejected,
-    PhaseEnded,
     PhaseStalled,
     PhaseStarted,
     QueueDepthChanged,
 )
 from repro.sim.engine import Event, Simulator
-from repro.sim.events import EventKind, format_task_label
+from repro.sim.events import EventKind
 from repro.sim.machine import CHIEF_LANE, ExecutivePlacement, Machine, Processor
 from repro.sim.rng import RngStreams
 from repro.sim.trace import Trace
@@ -164,12 +164,6 @@ class RunResult:
     processor_failures: int = 0
     #: Barrier-watchdog stall detections.
     stalls: int = 0
-    #: Which inner-loop build produced the run: ``pure`` (closure-based
-    #: reference), ``fastpath`` (slotted python records) or ``compiled``
-    #: (optional extension).  Diagnostic only — deliberately excluded from
-    #: canonical summaries/persisted payloads, which are byte-identical
-    #: across all three paths.
-    sim_path: str = "fastpath"
 
     @property
     def utilization(self) -> float:
@@ -266,15 +260,43 @@ class _Stream:
         return all(r.complete for r in self.runs)
 
 
-def _task_duration(spec: PhaseSpec, granules: GranuleSet, rng: np.random.Generator) -> float:
-    """Total execution time of a chunk of granules."""
-    cost = spec.cost
-    if isinstance(cost, ConstantCost):
-        return cost.value * len(granules)
-    sample_total = getattr(cost, "sample_total", None)
-    if sample_total is not None:
-        return float(sample_total(granules, rng))
-    return float(sum(cost.sample(g, rng) for g in granules))
+class _OverlapInitJob:
+    """Overlapped successor initiation, as a machine job record.
+
+    Once per adjacent phase pair; the work is the simulation's
+    :meth:`~ExecutiveSimulation._overlap_init_duration` (pricing, and
+    building the enablement engine) and
+    :meth:`~ExecutiveSimulation._overlap_init_done` (commit or abort).
+    """
+
+    __slots__ = ("ex", "run", "succ", "mapping", "serial_barrier", "new_descs", "label")
+
+    category = "mgmt"
+    noop = None
+
+    def __init__(
+        self,
+        ex: "ExecutiveSimulation",
+        run: _RunState,
+        succ: _RunState,
+        mapping: EnablementMapping,
+        serial_barrier: bool,
+    ) -> None:
+        self.ex = ex
+        self.run = run
+        self.succ = succ
+        self.mapping = mapping
+        self.serial_barrier = serial_barrier
+        self.new_descs: list[ComputationDescription] = []
+        self.label = f"overlap-init:{succ.spec.name}#{succ.gid}"
+
+    def resolve_duration(self) -> float:
+        return self.ex._overlap_init_duration(self.run, self.succ, self.mapping, self.new_descs)
+
+    def on_done(self) -> None:
+        self.ex._overlap_init_done(
+            self.run, self.succ, self.mapping, self.serial_barrier, self.new_descs
+        )
 
 
 class ExecutiveSimulation:
@@ -308,16 +330,8 @@ class ExecutiveSimulation:
         barrier watchdogs.
     recovery:
         Retry/backoff/watchdog knobs; defaults apply when ``None``.
-    fastpath:
-        Use the restructured inner loop (:mod:`repro.executive.hotloop`
-        plus the machine's slotted dispatch).  ``False`` runs the
-        closure-based reference implementation; results are byte-identical
-        either way (pinned by ``tests/test_fastpath_differential.py``).
-    compiled:
-        Use the optional compiled extension when available.  ``None``
-        (default) auto-detects, ``False`` forces pure python, ``True``
-        prefers the extension but degrades silently when it is absent.
-        ``REPRO_COMPILED=0`` in the environment disables it globally.
+    composite_cache:
+        Optional cross-run memo for indirect-mapping composite maps.
     """
 
     def __init__(
@@ -335,15 +349,10 @@ class ExecutiveSimulation:
         faults: FaultPlan | None = None,
         recovery: RecoveryPolicy | None = None,
         composite_cache: "CompositeMapCache | None" = None,
-        fastpath: bool = True,
-        compiled: "bool | None" = None,
     ) -> None:
         programs = [program] if isinstance(program, PhaseProgram) else list(program)
         if not programs:
             raise ValueError("need at least one program")
-        self.fastpath = fastpath
-        core = _speed.resolve(compiled, fastpath=fastpath)
-        self.sim_path = _speed.sim_path_name(core, fastpath)
         self.config = config or OverlapConfig()
         #: optional cross-run memo for indirect-mapping composite maps
         #: (grid sweeps pass one so adjacent points that differ only in
@@ -354,22 +363,13 @@ class ExecutiveSimulation:
         self.ext = extensions or Extensions()
         self.admission_guard = admission_guard
         self.obs = telemetry
-        self.sim = core.engine.Simulator(telemetry)
+        self.sim = Simulator(telemetry)
         self.trace = Trace()
-        self.machine = core.machine.Machine(
+        self.machine = Machine(
             self.sim, self.trace, n_workers, placement,
             n_executives=self.ext.middle_managers,
             telemetry=telemetry,
-            fastpath=fastpath,
         )
-        self.machine.on_processor_idle = self._on_idle
-        #: worker index -> (start, stop) of the granule *data region* it
-        #: last computed.  Granule indices name data regions (identity and
-        #: seam mappings preserve them across phases), so affinity is
-        #: deliberately phase-agnostic: the worker that computed
-        #: predecessor granules [a, b) is local to successor granules
-        #: [a, b) as well as to the continuation [b, ...).
-        self._affinity: dict[int, tuple[int, int]] = {}
         self.lateral_handoffs = 0
         self.streams_rng = RngStreams(seed)
         self.queue = WaitingComputationQueue()
@@ -400,7 +400,6 @@ class ExecutiveSimulation:
                     pending_serial = None
             self.streams.append(stream)
 
-        self._assign_pending: set[int] = set()
         self.tasks_executed = 0
         self.granules_executed = 0
         self._finished = False
@@ -456,7 +455,8 @@ class ExecutiveSimulation:
         )
         # Built last: the hot loop snapshots per-run caches, labels and
         # cost constants from the fully constructed simulation.
-        self._hot = core.hotloop.HotLoop(self) if fastpath else None
+        self._hot = HotLoop(self)
+        self.machine.on_processor_idle = self._hot.request_work
 
     # ------------------------------------------------------------------ helpers
     def _rng(self, name: str) -> np.random.Generator:
@@ -522,12 +522,6 @@ class ExecutiveSimulation:
             return None
         return run.stream.program.mapping_between(run.spec.name, succ.spec.name)
 
-    def _identity_like_overlap(self, run: _RunState) -> bool:
-        """Does this run's overlap link need successor-description splits?"""
-        if run.engine_to_next is None:
-            return False
-        return run.engine_to_next.mapping.kind in (MappingKind.IDENTITY, MappingKind.SEAM)
-
     # ------------------------------------------------------------------ lifecycle
     def run(self, max_events: int | None = None) -> RunResult:
         """Execute every job stream to completion; returns the result bundle."""
@@ -590,7 +584,6 @@ class ExecutiveSimulation:
             reassignments=self.reassignments,
             processor_failures=self.processor_failures,
             stalls=self.stalls,
-            sim_path=self.sim_path,
         )
 
     # ------------------------------------------------------------------ initiation
@@ -613,7 +606,7 @@ class ExecutiveSimulation:
             self._note_queue_depth()
             self._arm_watchdog()
             self._maybe_overlap_next(run)
-            self._dispatch_idle()
+            self._hot.dispatch_idle()
 
         self.machine.submit_mgmt(
             self.costs.phase_init + self.costs.dispatch_overhead,
@@ -740,13 +733,13 @@ class ExecutiveSimulation:
         self._note_queue_depth()
         if (
             self.config.split_strategy is SplitStrategy.PRESPLIT
-            and self._identity_like_overlap(run)
+            and self._hot.caches[run.gid].identity_like_overlap()
         ):
-            self._schedule_presplits(run)
+            self._hot.schedule_presplits(run)
         if run.stream.frontier == succ.index:
             # the predecessor finished while this job was queued
             self._make_current(succ)
-        self._dispatch_idle()
+        self._hot.dispatch_idle()
 
     def _maybe_overlap_next(self, run: _RunState) -> None:
         """At phase initiation, also initiate the successor in overlap mode."""
@@ -766,21 +759,9 @@ class ExecutiveSimulation:
             )
             return
         succ.init_submitted = True
-        label = f"overlap-init:{succ.spec.name}#{succ.gid}"
-        if self._hot is not None:
-            job = self._hot.overlap_init_job(run, succ, mapping, serial_barrier)
-            self.machine.submit_job(job, lane=CHIEF_LANE)
-            return
-
-        new_descs: list[ComputationDescription] = []
-
-        def duration() -> float:
-            return self._overlap_init_duration(run, succ, mapping, new_descs)
-
-        def done() -> None:
-            self._overlap_init_done(run, succ, mapping, serial_barrier, new_descs)
-
-        self.machine.submit_mgmt(duration, done, label=label, lane=CHIEF_LANE)
+        self.machine.submit_job(
+            _OverlapInitJob(self, run, succ, mapping, serial_barrier), lane=CHIEF_LANE
+        )
 
     def _elevate_enabling_granules(
         self,
@@ -823,324 +804,6 @@ class ExecutiveSimulation:
                     self._m_elevated.inc(phase=run.spec.name)
                     self._m_splits.inc(kind="elevation")
         return charged
-
-    def _schedule_presplits(self, run: _RunState) -> None:
-        """Queue background jobs that pre-split the run's task chunks.
-
-        "One possibility is to presplit the tasks before idle workers
-        present themselves to the executive.  This would allow the
-        executive to work ahead in otherwise idle time."
-        """
-        if self._hot is not None:
-            self._hot.schedule_presplits(run)
-            return
-        tsize = self.sizer.task_size(run.n, self.machine.n_workers)
-        n_chunks = math.ceil(run.n / tsize)
-
-        def make_job(chunk_index: int):
-            def duration() -> float:
-                if run.presplit_watermark > chunk_index:
-                    return 0.0  # already covered (demand split outran us)
-                return self.costs.split + self.costs.successor_split
-
-            def done() -> None:
-                run.presplit_watermark = max(run.presplit_watermark, chunk_index + 1)
-
-            return duration, done
-
-        for c in range(n_chunks):
-            dur, done = make_job(c)
-            self.machine.submit_mgmt(
-                dur, done, label=f"presplit:{run.spec.name}#{run.gid}:{c}", background=True
-            )
-
-    # ------------------------------------------------------------------ dispatch
-    def _on_idle(self, proc: Processor) -> None:
-        self._request_work(proc)
-
-    def _dispatch_idle(self) -> None:
-        if self._hot is not None:
-            self._hot.dispatch_idle()
-            return
-        if not self.queue:
-            return
-        for proc in self.machine.idle_processors():
-            if proc.index in self._assign_pending:
-                continue
-            self._request_work(proc)
-
-    def _select_desc(self, proc: Processor) -> ComputationDescription:
-        """The description the assignment serves next.
-
-        Default: the head of the waiting queue ("kept in a known order").
-        With the data-proximity extension, the executive first scans a few
-        queue entries for the chunk that continues the granule range the
-        worker just computed.
-        """
-        if not self.ext.data_proximity:
-            return self.queue.peek()
-        affinity = self._affinity.get(proc.index)
-        if affinity is None:
-            return self.queue.peek()
-        start, stop = affinity
-        for i, desc in enumerate(self.queue):
-            if i >= self.ext.proximity_scan:
-                break
-            if start <= desc.granules.min() <= stop:
-                return desc
-        return self.queue.peek()
-
-    def _chunk_is_local(self, proc: Processor, desc: ComputationDescription) -> bool:
-        affinity = self._affinity.get(proc.index)
-        if affinity is None:
-            return False
-        start, stop = affinity
-        return start <= desc.granules.min() <= stop
-
-    def _request_work(self, proc: Processor) -> None:
-        if self._hot is not None:
-            self._hot.request_work(proc)
-            return
-        if proc.index in self._assign_pending:
-            return
-        if not self.queue:
-            return
-        self._assign_pending.add(proc.index)
-        chosen: dict[str, ComputationDescription] = {}
-
-        def duration() -> float:
-            if not self.queue:
-                return 0.0
-            head = self._select_desc(proc)
-            run = self.runs[head.phase_run]
-            tsize = self.sizer.task_size(run.n, self.machine.n_workers)
-            d = self.costs.assign
-            if len(head) > tsize:
-                chunk_index = len(run.assigned) // tsize
-                presplit_covers = run.presplit_watermark > chunk_index
-                if not presplit_covers:
-                    d += self.costs.split
-                    if self._m_splits is not None:
-                        self._m_splits.inc(kind="demand")
-                child = head.split(tsize)
-            else:
-                self.queue.remove(head)
-                child = head
-            if (
-                self.config.split_strategy is SplitStrategy.DEMAND
-                and self._identity_like_overlap(run)
-            ):
-                chunk_index = len(run.assigned) // max(1, tsize)
-                if run.presplit_watermark <= chunk_index:
-                    d += self.costs.successor_split
-                    run.inline_split_chunks.add(child.id)
-            chosen["desc"] = child
-            return d
-
-        def done() -> None:
-            self._assign_pending.discard(proc.index)
-            desc = chosen.get("desc")
-            if desc is None:
-                return
-            run = self.runs[desc.phase_run]
-            task_time = _task_duration(run.spec, desc.granules, self._rng(f"cost:{run.gid}"))
-            if self.ext.remote_penalty > 1.0 and not self._chunk_is_local(proc, desc):
-                task_time *= self.ext.remote_penalty
-            if self._injector is not None and self._injector.has_stragglers:
-                task_time *= self._injector.slowdown(proc.index, self.sim.now)
-            started = self.machine.start_task(
-                proc,
-                task_time,
-                lambda p, d=desc: self._on_task_done(d, p),
-                label=format_task_label(run.spec.name, run.gid, desc.granules),
-            )
-            if not started:
-                # the executive's host processor was reclaimed; requeue at
-                # the front so the known order is preserved
-                self.queue.push_front(desc, elevated=desc.elevated)
-                return
-            self._in_flight[proc.index] = desc
-            self._note_assignment(run, desc, proc)
-            if (
-                self.config.split_strategy is SplitStrategy.SUCCESSOR_TASK
-                and self._identity_like_overlap(run)
-                and desc.id not in run.inline_split_chunks
-            ):
-                self._schedule_successor_split(run, desc)
-            self._dispatch_idle()
-
-        self.machine.submit_mgmt(
-            duration,
-            done,
-            label=f"assign:P{proc.index}",
-            # the queue drained between scheduling and execution: no
-            # description was chosen, so the zero-length span must not be
-            # recorded (it would skew profiler mgmt attribution)
-            noop=lambda: "desc" not in chosen,
-        )
-
-    def _note_assignment(
-        self, run: _RunState, desc: ComputationDescription, proc: Processor
-    ) -> None:
-        """Shared bookkeeping for executive and lateral assignments."""
-        desc.state = DescriptionState.RUNNING
-        run.assigned = run.assigned | desc.granules
-        run.queued = run.queued - desc.granules
-        run.stats.tasks += 1
-        self._publish(
-            GranuleDispatched(
-                self.sim.now, proc.name, run.spec.name, run.gid, len(desc.granules)
-            )
-        )
-        self._note_queue_depth()
-        self._affinity[proc.index] = (desc.granules.min(), desc.granules.max() + 1)
-        if run.stats.first_task_start is None:
-            run.stats.first_task_start = self.sim.now
-        if run.fully_assigned and run.stats.last_assign_time is None:
-            run.stats.last_assign_time = self.sim.now
-
-    def _schedule_successor_split(self, run: _RunState, desc: ComputationDescription) -> None:
-        """Queue the deferred successor-splitting task for one chunk.
-
-        "the splitting of a computation could generate a successor-
-        splitting task that could be quickly queued for later attention
-        when the executive would again be idle."
-        """
-
-        def duration() -> float:
-            if desc.id in run.inline_split_chunks:
-                return 0.0  # completion processing already paid inline
-            return self.costs.successor_split
-
-        def done() -> None:
-            run.inline_split_chunks.add(desc.id)
-
-        self.machine.submit_mgmt(
-            duration, done, label=f"succ-split:{run.spec.name}:{desc.id}", background=True
-        )
-
-    # ------------------------------------------------------------------ lateral
-    def _try_lateral_handoff(self, desc: ComputationDescription, proc: Processor) -> None:
-        """Worker-to-worker hand-off: start the enabled successor chunk now.
-
-        With an identity mapping, the worker that just completed granules
-        ``g`` of the current phase *knows* granules ``g`` of the successor
-        are computable — no executive consultation needed.  The worker
-        starts them directly, paying only the lateral communication cost.
-        """
-        run = self.runs[desc.phase_run]
-        succ = self._next_run(run)
-        if (
-            run.engine_to_next is None
-            or succ is None
-            or not succ.overlap_active
-            or run.engine_to_next.mapping.kind is not MappingKind.IDENTITY
-        ):
-            return
-        candidate = (
-            (desc.granules & GranuleSet.universe(succ.n)) - succ.assigned
-        ) - succ.queued
-        if not candidate:
-            return
-        child = self._describe(succ, candidate)
-        task_time = self.ext.lateral_cost + _task_duration(
-            succ.spec, candidate, self._rng(f"cost:{succ.gid}")
-        )
-        if self._injector is not None and self._injector.has_stragglers:
-            task_time *= self._injector.slowdown(proc.index, self.sim.now)
-        if self._hot is not None:
-            on_done: Callable[[Processor], None] = self._hot.task_done_callback(child)
-        else:
-            on_done = lambda p, d=child: self._on_task_done(d, p)  # noqa: E731
-        started = self.machine.start_task(
-            proc,
-            task_time,
-            on_done,
-            label=format_task_label(succ.spec.name, succ.gid, candidate),
-        )
-        if not started:
-            return
-        self._in_flight[proc.index] = child
-        succ.enabled = succ.enabled | candidate
-        self._note_assignment(succ, child, proc)
-        self.lateral_handoffs += 1
-
-    # ------------------------------------------------------------------ completion
-    def _on_task_done(self, desc: ComputationDescription, proc: Processor) -> None:
-        self._in_flight.pop(proc.index, None)
-        if self._injector is not None and self._injector.has_transients:
-            run_f = self.runs[desc.phase_run]
-            lo, hi = desc.granules.min(), desc.granules.max() + 1
-            if self._injector.task_fails(
-                run_f.spec.name, desc.phase_run, lo, hi, desc.attempts
-            ):
-                self._retry(desc, reason="transient")
-                return
-        self.tasks_executed += 1
-        self.granules_executed += len(desc.granules)
-        run_done = self.runs[desc.phase_run]
-        self._publish(
-            GranuleCompleted(
-                self.sim.now, proc.name, run_done.spec.name, run_done.gid, len(desc.granules)
-            )
-        )
-        if self.ext.lateral_handoff:
-            self._try_lateral_handoff(desc, proc)
-
-        def duration() -> float:
-            # Pricing only — completion processing's state changes happen
-            # atomically in done().  With a middle-management pool,
-            # completion jobs on different servers can *finish* out of
-            # order; mutating here would open a window between computing
-            # the enabled successor set and queueing it, during which
-            # another server could advance the frontier and queue the
-            # same granules again.
-            run = self.runs[desc.phase_run]
-            d = self.costs.completion
-            succ = self._next_run(run)
-            if run.engine_to_next is not None and succ is not None and succ.overlap_active:
-                d += self.costs.enablement
-                if (
-                    self._identity_like_overlap(run)
-                    and self.config.split_strategy is SplitStrategy.SUCCESSOR_TASK
-                    and desc.id not in run.inline_split_chunks
-                ):
-                    # deferred successor-splitting task has not run yet;
-                    # completion processing must pay inline
-                    d += self.costs.successor_split
-                    run.inline_split_chunks.add(desc.id)
-            return d
-
-        def done() -> None:
-            run = self.runs[desc.phase_run]
-            run.completed = run.completed | desc.granules
-            desc.state = DescriptionState.COMPLETE
-            succ = self._next_run(run)
-            if run.engine_to_next is not None and succ is not None and succ.overlap_active:
-                newly = run.engine_to_next.notify(desc.granules)
-                if run.complete:
-                    newly = newly | run.engine_to_next.complete_all()
-                fresh = (newly - succ.queued) - succ.assigned
-                if fresh:
-                    child = self._describe(succ, fresh)
-                    desc.queue_conflicting(child)
-            for child in desc.release_conflicts():
-                child.state = DescriptionState.WAITING
-                child_succ = self.runs[child.phase_run]
-                child_succ.enabled = child_succ.enabled | child.granules
-                child_succ.queued = child_succ.queued | child.granules
-                self.queue.push(child)
-            self._note_queue_depth()
-            if run.complete and run.stats.complete_time is None:
-                run.stats.complete_time = self.sim.now
-                self.trace.log(self.sim.now, EventKind.PHASE_END, run.spec.name, run=run.gid)
-                self._publish(PhaseEnded(self.sim.now, run.spec.name, run.gid))
-                self._advance_frontier(run.stream)
-            self._dispatch_idle()
-
-        self.machine.submit_mgmt(
-            duration, done, label=f"complete:{desc.phase_name}#{desc.phase_run}"
-        )
 
     # ------------------------------------------------------------------ faults
     def _crash(self, proc: Processor) -> None:
@@ -1217,7 +880,7 @@ class ExecutiveSimulation:
             self._pending_retries -= 1
             self.queue.push_front(desc, elevated=True)
             self._note_queue_depth()
-            self._dispatch_idle()
+            self._hot.dispatch_idle()
 
         self._fault_events.append(
             self.sim.schedule_after(self.recovery.backoff(desc.attempts), requeue)
@@ -1344,7 +1007,7 @@ class ExecutiveSimulation:
             )
             self.queue.push_front(desc, elevated=True)
         self._note_queue_depth()
-        self._dispatch_idle()
+        self._hot.dispatch_idle()
 
     def _abort(
         self,
@@ -1416,7 +1079,7 @@ class ExecutiveSimulation:
             self._make_current(nxt)
             if nxt.complete:
                 self._advance_frontier(nxt.stream)
-            self._dispatch_idle()
+            self._hot.dispatch_idle()
 
         self.machine.submit_mgmt(
             serial.duration, done, label=f"serial:{serial.name}", category="serial",
@@ -1448,7 +1111,7 @@ class ExecutiveSimulation:
         # _initiate or by its overlap initiation; this is only a promotion
         self.trace.log(self.sim.now, EventKind.PHASE_START, run.spec.name, run=run.gid)
         self._maybe_overlap_next(run)
-        self._dispatch_idle()
+        self._hot.dispatch_idle()
 
 
 def run_program(
@@ -1466,8 +1129,6 @@ def run_program(
     faults: FaultPlan | None = None,
     recovery: RecoveryPolicy | None = None,
     composite_cache: "CompositeMapCache | None" = None,
-    fastpath: bool = True,
-    compiled: "bool | None" = None,
 ) -> RunResult:
     """Convenience wrapper: build an :class:`ExecutiveSimulation` and run it."""
     sim = ExecutiveSimulation(
@@ -1484,7 +1145,5 @@ def run_program(
         faults=faults,
         recovery=recovery,
         composite_cache=composite_cache,
-        fastpath=fastpath,
-        compiled=compiled,
     )
     return sim.run(max_events=max_events)

@@ -28,19 +28,19 @@ The machine is mechanical: it executes tasks and management jobs with
 given durations and fires callbacks.  All policy (who gets which task,
 when to split, what to enable) lives in :mod:`repro.executive`.
 
-**Fast path.**  ``fastpath=True`` (the default) replaces the per-job
-``_finish`` closures with precomputed slotted completion records
-(:class:`_TaskFinish`, :class:`_MgmtFinish`) and keeps the idle-worker
-set as an incrementally sorted list, so dispatch after each event walks
-it without re-sorting.  ``fastpath=False`` preserves the closure-based
-reference implementation; both produce byte-identical traces (pinned by
-``tests/test_fastpath_differential.py``).  This module is one of the
-three compiled by the optional extension (docs/PERFORMANCE.md).
+**Dispatch.**  Per-event work is kept flat: task and management
+completions are slotted records (:class:`_TaskFinish`,
+:class:`_MgmtFinish`) rather than closures, the idle workers are kept as
+an incrementally sorted index list so dispatch after each event never
+re-sorts, and trace resource names are formatted once.  The executive
+submits its hot jobs as prebuilt records through :meth:`Machine.submit_job`
+(see :mod:`repro.executive.hotloop`).
 """
 
 from __future__ import annotations
 
-from bisect import insort
+import enum
+from bisect import bisect_left, insort
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
@@ -48,12 +48,31 @@ from repro.obs.events import MgmtActionDone, ProcessorFailed, WorkerBusy, Worker
 from repro.sim.engine import Event, Simulator
 from repro.sim.events import EventKind
 from repro.sim.trace import Trace
-from repro.sim.types import CHIEF_LANE, ExecutivePlacement, ProcessorState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.telemetry import Telemetry
 
 __all__ = ["ExecutivePlacement", "ProcessorState", "Processor", "Machine", "CHIEF_LANE"]
+
+#: Lane constant routing a management job to executive server 0.
+CHIEF_LANE = 0
+
+
+class ExecutivePlacement(enum.Enum):
+    """Where executive (management) computation runs."""
+
+    SHARED = "shared"
+    DEDICATED = "dedicated"
+
+
+class ProcessorState(enum.Enum):
+    """What a worker processor is doing."""
+
+    IDLE = "idle"
+    COMPUTING = "computing"
+    MGMT = "mgmt"
+    #: Crashed — never accepts work again; in-flight work was lost.
+    FAILED = "failed"
 
 
 class Processor:
@@ -143,11 +162,10 @@ class _ExecServer:
 
 
 class _TaskFinish:
-    """Slotted completion record for one computation task (fast path).
+    """Slotted completion record for one computation task.
 
-    Replaces the per-task ``_finish`` closure: one allocation holding the
-    four facts the completion needs, dispatched by the event loop via
-    ``__call__``.
+    One allocation holding the four facts the completion needs,
+    dispatched by the event loop via ``__call__``.
     """
 
     __slots__ = ("machine", "proc", "on_done", "label")
@@ -169,7 +187,7 @@ class _TaskFinish:
 
 
 class _MgmtFinish:
-    """Slotted completion record for one management job (fast path)."""
+    """Slotted completion record for one management job."""
 
     __slots__ = ("machine", "server", "job", "duration", "skipped")
 
@@ -208,11 +226,6 @@ class Machine:
         Size of the executive pool (middle management when > 1).  In
         SHARED placement, at most ``n_workers`` executives are allowed
         (server *i* is hosted on worker *i*).
-    fastpath:
-        Use the restructured inner loop (slotted completion records,
-        incrementally sorted idle list).  ``False`` preserves the
-        closure-based reference implementation; traces are byte-identical
-        either way.
     """
 
     def __init__(
@@ -223,7 +236,6 @@ class Machine:
         placement: ExecutivePlacement = ExecutivePlacement.SHARED,
         n_executives: int = 1,
         telemetry: "Telemetry | None" = None,
-        fastpath: bool = True,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"need at least one worker, got {n_workers}")
@@ -237,10 +249,9 @@ class Machine:
         self.sim = sim
         self.trace = trace
         self.placement = placement
-        self.fastpath = fastpath
         self.processors = [Processor(i) for i in range(n_workers)]
         # trace resource names, precomputed once (Processor.name is an
-        # f-string property; the fast path must not re-format it per event)
+        # f-string property; per-event code must not re-format it)
         self._proc_names = [f"P{i}" for i in range(n_workers)]
         hosts: list[Processor | None]
         if placement is ExecutivePlacement.SHARED:
@@ -251,13 +262,10 @@ class Machine:
         self._host_server: dict[int, _ExecServer] = {
             s.host.index: s for s in self._servers if s.host is not None
         }
-        # IDLE processor indices.  The reference keeps a set and sorts it
-        # on every dispatch; the fast path maintains the sorted list
-        # incrementally (bisect insert, O(1)-amortized removal) so that
-        # dispatch after each event never re-sorts — at 1000 simulated
-        # processors the difference is the feasibility of the paper's
-        # full-scale example.
-        self._idle_indices: set[int] = set(range(n_workers))
+        # IDLE processor indices, kept sorted incrementally (bisect insert
+        # and removal) so that dispatch after each event never re-sorts —
+        # at 1000 simulated processors the difference is the feasibility
+        # of the paper's full-scale example.
         self._idle_sorted: list[int] = list(range(n_workers))
         self.mgmt_jobs_done = 0
         self._obs = telemetry
@@ -267,14 +275,6 @@ class Machine:
         self.on_task_lost: Callable[[Processor], None] | None = None
         # in-flight task-completion events, so a crash can cancel them
         self._task_events: dict[int, Event] = {}
-        if fastpath:
-            # Rebind the per-event entry points to their restructured
-            # variants once, so the hot loop never branches on the flag.
-            # The baseline methods stay as the closure-path reference.
-            self.start_task = self._start_task_fast  # type: ignore[method-assign]
-            self._try_start_mgmt = self._try_start_mgmt_fast  # type: ignore[method-assign]
-            self._finish_task = self._finish_task_fast  # type: ignore[method-assign]
-            self._finish_mgmt = self._finish_mgmt_fast  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------ helpers
     @property
@@ -297,26 +297,11 @@ class Machine:
     def _server_for(self, proc: Processor) -> _ExecServer | None:
         return self._host_server.get(proc.index)
 
-    def _idle_add(self, index: int) -> None:
-        if self.fastpath:
-            insort(self._idle_sorted, index)
-        else:
-            self._idle_indices.add(index)
-
     def _idle_discard(self, index: int) -> None:
-        if self.fastpath:
-            lst = self._idle_sorted
-            lo, hi = 0, len(lst)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if lst[mid] < index:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo < len(lst) and lst[lo] == index:
-                del lst[lo]
-        else:
-            self._idle_indices.discard(index)
+        lst = self._idle_sorted
+        i = bisect_left(lst, index)
+        if i < len(lst) and lst[i] == index:
+            del lst[i]
 
     def idle_processors(self) -> list[Processor]:
         """Workers currently able to accept a task, in index order.
@@ -325,12 +310,11 @@ class Machine:
         urgent work pending or running — management has priority on its
         processor.
         """
-        indices = self._idle_sorted if self.fastpath else sorted(self._idle_indices)
         procs = self.processors
         if not self._host_server:
-            return [procs[i] for i in indices]
+            return [procs[i] for i in self._idle_sorted]
         out = []
-        for i in indices:
+        for i in self._idle_sorted:
             p = procs[i]
             server = self._host_server.get(i)
             if server is not None and (server.busy or server.urgent):
@@ -376,52 +360,13 @@ class Machine:
             raise ValueError(f"negative task duration {duration}")
         if proc.state is not ProcessorState.IDLE:
             return False
-        server = self._host_server.get(proc.index) if self._host_server else None
-        if server is not None and (server.busy or server.urgent):
-            return False
-        proc.state = ProcessorState.COMPUTING
-        self._idle_discard(proc.index)
-        proc.current_label = label
-        now = self.sim.now
-        self.trace.begin(proc.name, now, "compute", label)
-        self.trace.log(now, EventKind.TASK_START, proc.name, label=label)
-        if self._obs is not None:
-            self._obs.bus.publish(WorkerBusy(now, proc.name, "compute"))
-
-        def finish() -> None:
-            self._finish_task(proc, on_done, label)
-
-        self._task_events[proc.index] = self.sim.schedule_after(duration, finish, priority=0)
-        return True
-
-    def _start_task_fast(
-        self,
-        proc: Processor,
-        duration: float,
-        on_done: Callable[[Processor], None],
-        label: str = "",
-    ) -> bool:
-        """:meth:`start_task` restructured: cached names, slotted finish."""
-        if duration < 0:
-            raise ValueError(f"negative task duration {duration}")
-        if proc.state is not ProcessorState.IDLE:
-            return False
         index = proc.index
         if self._host_server:
             server = self._host_server.get(index)
             if server is not None and (server.busy or server.urgent):
                 return False
         proc.state = ProcessorState.COMPUTING
-        lst = self._idle_sorted
-        lo, hi = 0, len(lst)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if lst[mid] < index:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(lst) and lst[lo] == index:
-            del lst[lo]
+        self._idle_discard(index)
         proc.current_label = label
         now = self.sim._now
         name = self._proc_names[index]
@@ -436,29 +381,7 @@ class Machine:
     def _finish_task(
         self, proc: Processor, on_done: Callable[[Processor], None], label: str
     ) -> None:
-        """Close out one computation task (closure-path reference)."""
-        self._task_events.pop(proc.index, None)
-        now = self.sim.now
-        self.trace.end(proc.name, now, "compute")
-        self.trace.log(now, EventKind.TASK_END, proc.name, label=label)
-        proc.state = ProcessorState.IDLE
-        self._idle_add(proc.index)
-        proc.current_label = ""
-        proc.tasks_completed += 1
-        if self._obs is not None:
-            self._obs.bus.publish(WorkerIdle(now, proc.name))
-        on_done(proc)
-        # Management may have queued while this task ran on the host.
-        host_server = self._host_server.get(proc.index) if self._host_server else None
-        if host_server is not None:
-            self._try_start_mgmt(host_server)
-        if self.on_processor_idle is not None and proc.state is ProcessorState.IDLE:
-            self.on_processor_idle(proc)
-
-    def _finish_task_fast(
-        self, proc: Processor, on_done: Callable[[Processor], None], label: str
-    ) -> None:
-        """:meth:`_finish_task` restructured for the slotted dispatch path."""
+        """Close out one computation task."""
         index = proc.index
         self._task_events.pop(index, None)
         now = self.sim._now
@@ -569,15 +492,14 @@ class Machine:
         background: bool = False,
         lane: int | None = None,
     ) -> None:
-        """Queue a prebuilt executive job record (fast path).
+        """Queue a prebuilt executive job record.
 
         ``job`` is any object with the :class:`_MgmtJob` interface —
         ``resolve_duration()``, ``label``, ``category``, ``on_done``
-        (callable or None) and ``noop`` (predicate or None).  The hot
-        dispatch layer (:mod:`repro.executive.hotloop`) builds slotted
-        records once per action instead of closing over locals, then
-        hands them here; validation and server choice match
-        :meth:`submit_mgmt`.
+        (callable or None) and ``noop`` (predicate or None).  The
+        executive's dispatch layer (:mod:`repro.executive.hotloop`) builds
+        slotted records once per action instead of closing over locals,
+        then hands them here; server choice matches :meth:`submit_mgmt`.
         """
         servers = self._servers
         if lane is not None:
@@ -602,38 +524,11 @@ class Machine:
         return best
 
     def _try_start_mgmt(self, server: _ExecServer) -> None:
-        if server.busy or not (server.urgent or server.background):
-            return
-        host = server.host
-        if host is not None and host.state is ProcessorState.COMPUTING:
-            return  # non-preemptive: wait for the host's task to finish
-        job = server.urgent.popleft() if server.urgent else server.background.popleft()
-        server.busy = True
-        job_duration = job.resolve_duration()
-        # the no-op verdict is fixed at start time so begin/end stay paired
-        skipped = job.noop is not None and job.noop()
-        now = self.sim.now
-        if host is not None:
-            host.state = ProcessorState.MGMT
-            self._idle_discard(host.index)
-            if not skipped:
-                self.trace.begin(host.name, now, job.category, job.label)
-                if self._obs is not None:
-                    self._obs.bus.publish(WorkerBusy(now, host.name, job.category))
-        if not skipped:
-            self.trace.begin(server.resource, now, job.category, job.label)
-            self.trace.log(now, EventKind.MGMT_START, server.resource, label=job.label)
+        """Start the server's next job, unless it is busy or its host computes.
 
-        def finish() -> None:
-            self._finish_mgmt(server, job, job_duration, skipped)
-
-        self.sim.schedule_after(job_duration, finish, priority=-1)
-
-    def _try_start_mgmt_fast(self, server: _ExecServer) -> None:
-        """:meth:`_try_start_mgmt` restructured for the slotted dispatch path.
-
-        Also serves :meth:`submit_job` records, whose ``noop``/``on_done``
-        are methods (or class-level ``None``) rather than stored closures.
+        Serves :class:`_MgmtJob` records and :meth:`submit_job` records
+        alike: ``noop``/``on_done`` are stored callables, methods or
+        class-level ``None``.
         """
         if server.busy or not (server.urgent or server.background):
             return
@@ -651,16 +546,7 @@ class Machine:
         if host is not None:
             host.state = ProcessorState.MGMT
             index = host.index
-            lst = self._idle_sorted
-            lo, hi = 0, len(lst)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if lst[mid] < index:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo < len(lst) and lst[lo] == index:
-                del lst[lo]
+            self._idle_discard(index)
             if not skipped:
                 trace.begin(self._proc_names[index], now, job.category, job.label)
                 if self._obs is not None:
@@ -675,10 +561,10 @@ class Machine:
             job_duration, _MgmtFinish(self, server, job, job_duration, skipped), priority=-1
         )
 
-    def _finish_mgmt_fast(
+    def _finish_mgmt(
         self, server: _ExecServer, job: _MgmtJob, job_duration: float, skipped: bool
     ) -> None:
-        """:meth:`_finish_mgmt` restructured for the slotted dispatch path."""
+        """Close out one management job."""
         now = self.sim._now
         trace = self.trace
         host = server.host
@@ -709,41 +595,6 @@ class Machine:
             and host.state is ProcessorState.IDLE
             and not server.busy
             and not (server.urgent or server.background)
-            and self.on_processor_idle is not None
-        ):
-            self.on_processor_idle(host)
-
-    def _finish_mgmt(
-        self, server: _ExecServer, job: _MgmtJob, job_duration: float, skipped: bool
-    ) -> None:
-        """Close out one management job (closure-path reference)."""
-        now = self.sim.now
-        host = server.host
-        if not skipped:
-            self.trace.end(server.resource, now, job.category)
-        if host is not None:
-            if not skipped:
-                self.trace.end(host.name, now, job.category)
-            host.state = ProcessorState.IDLE
-            self._idle_add(host.index)
-        if not skipped:
-            self.trace.log(now, EventKind.MGMT_END, server.resource, label=job.label)
-        if self._obs is not None and not skipped:
-            if host is not None:
-                self._obs.bus.publish(WorkerIdle(now, host.name))
-            self._obs.bus.publish(
-                MgmtActionDone(now, server.resource, job.label, job_duration, job.category)
-            )
-        server.busy = False
-        self.mgmt_jobs_done += 1
-        if job.on_done is not None:
-            job.on_done()
-        self._try_start_mgmt(server)
-        if (
-            host is not None
-            and host.state is ProcessorState.IDLE
-            and not server.busy
-            and not server.pending()
             and self.on_processor_idle is not None
         ):
             self.on_processor_idle(host)

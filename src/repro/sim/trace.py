@@ -100,27 +100,15 @@ class Trace:
         if kind in TASK_EVENT_KINDS:
             self.task_records.append(rec)
 
-    def log_label(self, time: float, kind: EventKind, subject: str, label: str) -> None:
-        """Hot-path :meth:`log` variant for the ubiquitous label-only record.
-
-        Produces a record identical to ``log(time, kind, subject,
-        label=label)`` without packing keyword arguments; the simulation
-        fast path emits one of these per task/management transition.
-        """
-        rec = LogRecord(time=time, kind=kind, subject=subject, detail={"label": label})
-        self.records.append(rec)
-        if kind in TASK_EVENT_KINDS:
-            self.task_records.append(rec)
-
     def begin_logged(
         self, resource: str, time: float, category: str, label: str, kind: EventKind
     ) -> None:
-        """Hot-path :meth:`begin` + :meth:`log_label` fused into one call.
+        """:meth:`begin` plus ``log(time, kind, resource, label=label)``.
 
-        The simulation fast path opens an interval and logs a record for
-        every task/management start; fusing them halves the call overhead
-        on the hottest trace operation.  Error cases defer to
-        :meth:`begin` for its diagnostic message.
+        The machine opens an interval and logs a record for every
+        task/management start; fusing them halves the call overhead on
+        the hottest trace operation.  Error cases defer to :meth:`begin`
+        for its diagnostic message.
         """
         key = (resource, category)
         if key in self._open:
@@ -134,7 +122,7 @@ class Trace:
     def end_logged(
         self, resource: str, time: float, category: str, label: str, kind: EventKind
     ) -> Interval:
-        """Hot-path :meth:`end` + :meth:`log_label` fused into one call.
+        """:meth:`end` plus ``log(time, kind, resource, label=label)``.
 
         ``label`` is the *record* label; the interval keeps the label it
         was opened with, exactly as the unfused pair does.  Error cases
