@@ -6,8 +6,8 @@ canonical output — both result summaries, the recovery counters and the
 full persisted trace — with the recorded digest.  The corpus covers every
 bundled workload, a nine-configuration matrix, seeded fault plans and 40
 stored random configurations; ``tests/golden/README.md`` says when a
-digest may be re-recorded.  (The module name dates from when these cases
-compared two simulation paths with each other.)
+digest may be re-recorded.  The module keeps its name, from when these
+cases compared two simulation paths, so that its test ids stay stable.
 """
 
 from __future__ import annotations
