@@ -95,12 +95,13 @@ def run_configs(draw):
     return workers, kw
 
 
-def check_run(workload: str, workers: int, **kw) -> None:
+def check_run(workload: str, workers: int, **kw):
+    """Run and check one configuration; ``None`` if the run aborted."""
     program = build_workload(workload)
     try:
         result = run_program(program, workers, **kw)
     except PhaseAbortError:
-        return
+        return None
     report = sanitize_result(result, program)
     assert report.findings == [], report.render_text()
     expected = sum(s.n_granules for s in result.phase_stats)
@@ -110,6 +111,7 @@ def check_run(workload: str, workers: int, **kw) -> None:
     for iv in result.trace.intervals():
         if iv.category == "mgmt" and iv.label.startswith("assign:"):
             assert iv.duration > 0.0, f"zero-length assignment span {iv}"
+    return result
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,23 +131,8 @@ def test_overlap_order_and_exactly_once(workload, config):
             8,
             {"extensions": Extensions(lateral_handoff=True, lateral_cost=0.1)},
         ),
-        # granules waiting out a retry backoff count as queued, so neither
-        # completion processing nor a lateral hand-off issues them again
-        (
-            "identity",
-            8,
-            {
-                "seed": 3,
-                "config": OverlapConfig(split_strategy=SplitStrategy.DEMAND),
-                "extensions": Extensions(lateral_handoff=True, lateral_cost=0.1),
-                "faults": FaultPlan(
-                    seed=11,
-                    faults=(TransientGranuleError(0.05), StragglerSlowdown(0.3, 2.5)),
-                ),
-                "recovery": RecoveryPolicy(watchdog_timeout=25.0),
-            },
-        ),
-        # likewise for the granules of a task lost to a crash
+        # the granules of a task lost to a crash count as queued until
+        # reassigned, so a lateral hand-off does not issue them again
         (
             "particles",
             12,
@@ -160,15 +147,17 @@ def test_overlap_order_and_exactly_once(workload, config):
             },
         ),
     ],
-    ids=["casper-lateral", "identity-lateral-retry", "particles-lateral-crash"],
+    ids=["casper-lateral", "particles-lateral-crash"],
 )
 def test_known_violations_stay_fixed(workload, workers, kw):
-    check_run(workload, workers, **kw)
+    assert check_run(workload, workers, **kw) is not None
 
 
 def test_retry_during_lateral_handoff_executes_each_granule_once():
-    result = run_program(
-        build_workload("identity"),
+    """Granules waiting out a retry backoff count as queued, so neither
+    completion processing nor a lateral hand-off issues them again."""
+    result = check_run(
+        "identity",
         8,
         seed=3,
         config=OverlapConfig(split_strategy=SplitStrategy.DEMAND),
