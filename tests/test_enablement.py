@@ -183,7 +183,7 @@ def test_counter_engine_safe_and_exact(n_pred, n_succ, fan_in, group_size, seed,
 
 
 # ---------------------------------------------------------- inverted index
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=1, max_value=40),
     st.integers(min_value=1, max_value=40),
@@ -191,16 +191,14 @@ def test_counter_engine_safe_and_exact(n_pred, n_succ, fan_in, group_size, seed,
     st.integers(min_value=1, max_value=4),
     st.sampled_from(["reverse", "forward"]),
     st.integers(min_value=0, max_value=9999),
-    st.one_of(st.none(), st.floats(min_value=0.25, max_value=1.0)),
     st.lists(st.sets(st.integers(0, 39), max_size=10), max_size=8),
 )
 def test_indexed_notify_matches_full_scan(
-    n_pred, n_succ, fan_in, group_size, kind, seed, target_frac, steps
+    n_pred, n_succ, fan_in, group_size, kind, seed, steps
 ):
-    """The inverted predecessor->group index with its ``np.bincount`` bulk
-    credit is a pure optimization: at every step it enables exactly what
-    the full-counter-scan reference path (``indexed=False``) enables,
-    also with a restricted target subset (deferred release)."""
+    """The inverted predecessor->group index is a pure optimization: at
+    every step it enables exactly what the full-counter-scan reference
+    path (``indexed=False``) enables."""
     rng = np.random.default_rng(seed)
     if kind == "reverse":
         maps = {"M": rng.integers(0, n_pred, size=(fan_in, n_succ))}
@@ -208,19 +206,10 @@ def test_indexed_notify_matches_full_scan(
     else:
         maps = {"F": rng.integers(0, max(n_succ, 1), size=n_pred)}
         mapping = ForwardIndirectMapping("F")
-    target = (
-        None
-        if target_frac is None
-        else GranuleSet.universe(max(1, int(target_frac * n_succ)))
-    )
-    fast = EnablementEngine(
-        mapping, n_pred, n_succ, maps, group_size=group_size, target=target
-    )
+    fast = EnablementEngine(mapping, n_pred, n_succ, maps, group_size=group_size)
     scan = EnablementEngine(
-        mapping, n_pred, n_succ, maps, group_size=group_size, target=target,
-        indexed=False,
+        mapping, n_pred, n_succ, maps, group_size=group_size, indexed=False
     )
-    assert fast._counts is not None and scan._counts is None
     assert fast.initially_enabled() == scan.initially_enabled()
     completed = GranuleSet.empty()
     for step in steps:
@@ -231,6 +220,61 @@ def test_indexed_notify_matches_full_scan(
         assert fast.pending == scan.pending
     assert fast.complete_all() == scan.complete_all()
     assert fast.enabled == GranuleSet.universe(n_succ)
+
+
+# ------------------------------------------------------ vectorized counters
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from(["reverse", "forward"]),
+    st.integers(min_value=0, max_value=9999),
+    st.floats(min_value=0.25, max_value=1.0),
+    st.lists(st.sets(st.integers(0, 39), max_size=10), max_size=8),
+)
+def test_vectorized_notify_matches_both_references(
+    n_pred, n_succ, fan_in, group_size, kind, seed, target_frac, steps
+):
+    """The ``np.bincount`` bulk-credit path against two references, with a
+    restricted target subset (deferred release): it enables exactly what
+    the full-counter scan (``indexed=False``) enables at every step, and
+    until the last predecessor completes it stays within direct mapping
+    evaluation restricted to the target — equal to it with
+    single-granule groups, since grouped counters fire later by design."""
+    rng = np.random.default_rng(seed)
+    if kind == "reverse":
+        maps = {"M": rng.integers(0, n_pred, size=(fan_in, n_succ))}
+        mapping = ReverseIndirectMapping("M", fan_in=fan_in)
+    else:
+        maps = {"F": rng.integers(0, max(n_succ, 1), size=n_pred)}
+        mapping = ForwardIndirectMapping("F")
+    target = GranuleSet.universe(max(1, int(target_frac * n_succ)))
+    vec = EnablementEngine(
+        mapping, n_pred, n_succ, maps, group_size=group_size, target=target
+    )
+    scan = EnablementEngine(
+        mapping, n_pred, n_succ, maps, group_size=group_size, target=target,
+        indexed=False,
+    )
+    assert vec._counts is not None and scan._counts is None
+    assert vec.initially_enabled() == scan.initially_enabled()
+    completed = GranuleSet.empty()
+    for step in [set()] + steps:
+        delta = GranuleSet.from_ids(i for i in step if i < n_pred)
+        completed = completed | delta
+        assert vec.notify(delta) == scan.notify(delta)
+        assert vec.enabled == scan.enabled
+        if len(completed) < n_pred:
+            direct = mapping.enabled_by(completed, n_pred, n_succ, maps) & target
+            assert vec.enabled.issubset(direct), "enabled a granule too early"
+            if group_size == 1:
+                assert vec.enabled == direct
+        else:
+            assert vec.enabled == GranuleSet.universe(n_succ)
+    assert vec.complete_all() == scan.complete_all()
+    assert vec.enabled == GranuleSet.universe(n_succ)
 
 
 class TestVectorizedEngineEdges:
