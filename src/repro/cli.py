@@ -774,6 +774,40 @@ def _sweep_supervision(args, implied: bool):
     return SupervisionPolicy(**kwargs)
 
 
+def _sweep_faults(args, units: int):
+    """The (fault plan, supervision policy) pair for a sweep or grid run.
+
+    Fault flags and the chaos plan name pool units — replication indices,
+    or grid cell ids — so both paths build one plan over ``units``.
+    Raises ValueError on a malformed fault flag.
+    """
+    slows = [_parse_slow(t) for t in args.slow_replications]
+    chaos_seed = _sweep_chaos_seed(args)
+    fault_plan = None
+    faults: list = []
+    if args.kill_replications or args.hang_replications or slows:
+        from repro.faults import SweepWorkerHang, SweepWorkerKill, SweepWorkerSlow
+
+        faults += [SweepWorkerKill(r) for r in args.kill_replications]
+        faults += [SweepWorkerHang(r) for r in args.hang_replications]
+        faults += [SweepWorkerSlow(r, s) for r, s in slows]
+    if chaos_seed is not None:
+        from repro.faults import chaos_plan
+
+        faults += list(chaos_plan(chaos_seed, units).faults)
+    if faults:
+        from repro.faults import FaultPlan
+
+        fault_plan = FaultPlan(
+            seed=chaos_seed if chaos_seed is not None else args.fault_seed,
+            faults=tuple(faults),
+        )
+    supervision = _sweep_supervision(
+        args, implied=bool(args.hang_replications or slows or chaos_seed is not None)
+    )
+    return fault_plan, supervision
+
+
 def _print_supervision(stats, out) -> None:
     """Outcome lines for a supervised run (sweep and grid share them)."""
     if stats is None:
@@ -867,33 +901,10 @@ def _cmd_sweep(args, out) -> int:
         print("error: --share-maps requires --grid", file=sys.stderr)
         return 2
     try:
-        slows = [_parse_slow(t) for t in args.slow_replications]
+        fault_plan, supervision = _sweep_faults(args, spec.replications)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    chaos_seed = _sweep_chaos_seed(args)
-    fault_plan = None
-    faults: list = []
-    if args.kill_replications or args.hang_replications or slows:
-        from repro.faults import SweepWorkerHang, SweepWorkerKill, SweepWorkerSlow
-
-        faults += [SweepWorkerKill(r) for r in args.kill_replications]
-        faults += [SweepWorkerHang(r) for r in args.hang_replications]
-        faults += [SweepWorkerSlow(r, s) for r, s in slows]
-    if chaos_seed is not None:
-        from repro.faults import chaos_plan
-
-        faults += list(chaos_plan(chaos_seed, spec.replications).faults)
-    if faults:
-        from repro.faults import FaultPlan
-
-        fault_plan = FaultPlan(
-            seed=chaos_seed if chaos_seed is not None else args.fault_seed,
-            faults=tuple(faults),
-        )
-    supervision = _sweep_supervision(
-        args, implied=bool(args.hang_replications or slows or chaos_seed is not None)
-    )
     profiler, bus, reporter = _sweep_instrumentation(args)
     try:
         outcome = run_sweep(
@@ -983,29 +994,10 @@ def _cmd_sweep_grid(args, spec, out) -> int:
     if args.share_maps and not shared:
         print("note: workload declares no selection maps; nothing to share", file=out)
     try:
-        slows = [_parse_slow(t) for t in args.slow_replications]
+        fault_plan, supervision = _sweep_faults(args, grid.n_cells)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    chaos_seed = _sweep_chaos_seed(args)
-    kill_cells = list(args.kill_replications)
-    hang_cells = list(args.hang_replications)
-    slow_cells = dict(slows)
-    if chaos_seed is not None:
-        # the chaos matrix maps onto grid cells exactly as onto
-        # replications: unit index = cell id, same seeded draw sequence
-        from repro.faults import chaos_plan
-
-        plan = chaos_plan(chaos_seed, grid.n_cells)
-        kill_cells += [f.replication for f in plan.sweep_kills]
-        hang_cells += [f.replication for f in plan.sweep_hangs]
-        for f in plan.sweep_slows:
-            slow_cells[f.replication] = max(
-                slow_cells.get(f.replication, 0.0), f.delay_seconds
-            )
-    supervision = _sweep_supervision(
-        args, implied=bool(hang_cells or slow_cells or chaos_seed is not None)
-    )
     profiler, bus, reporter = _sweep_instrumentation(args)
     try:
         outcome = run_grid(
@@ -1015,9 +1007,7 @@ def _cmd_sweep_grid(args, spec, out) -> int:
             manifest_path=args.manifest,
             resume=args.resume,
             max_restarts=args.max_restarts,
-            kill_cells=kill_cells,
-            hang_cells=hang_cells,
-            slow_cells=slow_cells,
+            fault_plan=fault_plan,
             profiler=profiler,
             bus=bus,
             chunk_size=args.batch_size,

@@ -115,7 +115,8 @@ class SweepWorkerKill:
     derived seed, so the final report is byte-identical to a fault-free
     sweep.  ``attempts > 1`` models a salvage storm — the same unit keeps
     taking its worker down across consecutive pool rebuilds.  Consumed by
-    :func:`repro.sweep.run_sweep`.
+    :func:`repro.sweep.run_sweep` and :func:`repro.sweep.run_grid` (where
+    ``replication`` is a cell id).
     """
 
     replication: int
@@ -139,7 +140,8 @@ class SweepWorkerHang:
     attempt completes normally with the same derived seed, keeping the
     report byte-identical.  Inline (``workers=1``) the hang degrades to a
     :class:`~repro.sweep.runner.SweepWorkerDied` retry, since a process
-    cannot usefully hang itself.  Consumed by :func:`repro.sweep.run_sweep`.
+    cannot usefully hang itself.  Consumed by :func:`repro.sweep.run_sweep`
+    and :func:`repro.sweep.run_grid` (where ``replication`` is a cell id).
     """
 
     replication: int

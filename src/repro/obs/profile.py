@@ -772,11 +772,6 @@ class PoolProfiler:
         self._seen_pids: set[int] = set()
         self._own_pid = os.getpid()
 
-    @property
-    def initializer(self) -> Callable[[], None]:
-        """Pool-process initializer to install when profiling is active."""
-        return _profile_worker_init
-
     def wrap(
         self, key: Any, fn: Callable[..., Any], args: tuple[Any, ...]
     ) -> tuple[Callable[..., Any], tuple[Any, ...]]:

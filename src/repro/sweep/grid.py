@@ -37,11 +37,11 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.obs.events import EventBus, PoolTaskCompleted
+from repro.obs.events import EventBus
 from repro.sweep.pool import WarmPool, cost_model, warm_pool
 from repro.sweep.runner import (
     SweepSpec,
@@ -50,13 +50,16 @@ from repro.sweep.runner import (
     result_summary,
     run_pool_tasks,
     _apply_chaos,
-    _load_manifest,
+    _batch_lander,
+    _chaos_injector,
+    _chaos_verdict,
     _open_manifest,
 )
 from repro.sweep.shm import SharedMapStore
 from repro.sweep.supervise import SupervisionPolicy, Supervisor
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults import FaultPlan
     from repro.obs.profile import PoolProfiler
 
 __all__ = [
@@ -364,8 +367,7 @@ def _grid_chunk(
     chunk: list[tuple[int, dict[str, Any], int]],
     maps_payload: Mapping[str, Any] | None,
     attach: bool,
-    chaos: dict[str, Any] | bool | None,
-    attempt: int,
+    chaos: dict[str, Any] | None,
     instrument: bool = False,
 ) -> dict[str, Any]:
     """Run a chunk of ``(cell id, point, replication)`` cells.
@@ -377,18 +379,15 @@ def _grid_chunk(
     memoized per worker process, so a worker pays the segment-open cost
     once per grid, not once per chunk.
 
-    ``chaos`` is this attempt's injected-misbehavior verdict (see
-    :func:`~repro.sweep.runner._apply_chaos`) — kill, hang, or slowdown;
-    a plain ``bool`` is the PR 8 kill-on-first-attempt convention, kept
-    for existing callers.
+    ``chaos`` is this attempt's injected-misbehavior verdict over the
+    chunk's cell ids (see :func:`~repro.sweep.runner._chaos_verdict`) —
+    kill, hang (with or without a frozen heartbeat), or slowdown.
 
     Returns a batch envelope (like ``runner._pool_entry_batch``): the
     per-cell summaries plus the chunk's measured compute span, which
     feeds the host-side cost model and concurrency accounting without
     touching the canonical report.
     """
-    if isinstance(chaos, bool):
-        chaos = {"kill": True} if (chaos and attempt == 0) else None
     _apply_chaos(chaos, f"grid chunk with cells {[c[0] for c in chunk]}")
     shared: Mapping[str, np.ndarray] | None
     if maps_payload is None:
@@ -487,9 +486,7 @@ def run_grid(
     manifest_path: str | Path | None = None,
     resume: bool = False,
     max_restarts: int = 2,
-    kill_cells: Sequence[int] = (),
-    hang_cells: Sequence[int] = (),
-    slow_cells: Mapping[int, float] | None = None,
+    fault_plan: "FaultPlan | None" = None,
     profiler: "PoolProfiler | None" = None,
     bus: EventBus | None = None,
     pool: "WarmPool | str" = "warm",
@@ -517,11 +514,13 @@ def run_grid(
     :class:`~repro.obs.events.PoolTaskCompleted` per landed cell.  The
     report bytes do not depend on either.
 
-    Fault injection: ``kill_cells`` crashes the worker holding any listed
-    cell (first attempt only); ``hang_cells`` hangs it forever;
-    ``slow_cells`` maps cell ids to injected delays in seconds.
-    ``supervision`` arms the pool supervisor exactly as in
-    :func:`~repro.sweep.runner.run_sweep` — required for a hung chunk to
+    ``fault_plan`` and ``supervision`` are those of
+    :func:`~repro.sweep.runner.run_sweep`, with the cell id as the unit
+    every :class:`~repro.faults.SweepWorkerKill`,
+    :class:`~repro.faults.SweepWorkerHang` and
+    :class:`~repro.faults.SweepWorkerSlow` names: a chunk dies, hangs
+    (freezing its heartbeat if asked) or sleeps when one of its cells is
+    armed on that attempt.  Supervision is required for a hung chunk to
     be preempted rather than block the grid; its facts land on
     :attr:`GridOutcome.supervision`.  None of these change report bytes.
     """
@@ -539,23 +538,13 @@ def run_grid(
         for r in range(reps)
     ]
     total = len(cells)
-    kills = set(kill_cells)
-    hangs = set(hang_cells)
-    slows = dict(slow_cells or {})
+    injector = _chaos_injector(fault_plan)
 
     t0 = time.perf_counter()
-    summaries: dict[int, dict[str, Any]] = {}
-    if manifest_path is not None and resume:
-        summaries.update(
-            _load_manifest(manifest_path, spec_data, kind=_GRID_MANIFEST_KIND, key="cell")
-        )
-    manifest = (
-        _open_manifest(manifest_path, spec_data, resume, kind=_GRID_MANIFEST_KIND)
-        if manifest_path is not None
-        else None
+    summaries, manifest = _open_manifest(
+        manifest_path, spec_data, resume, kind=_GRID_MANIFEST_KIND, key="cell"
     )
-    done_count = len(summaries)
-    resumed = done_count
+    resumed = len(summaries)
 
     pending = [c for c in cells if c[0] not in summaries]
     model = cost_model()
@@ -592,41 +581,12 @@ def run_grid(
             estimate=lambda: model.estimate(ckey),
             bus=bus,
             metrics=profiler.metrics if profiler is not None else None,
-            heartbeat_dir=warm.heartbeat_dir if warm is not None else None,
             what="cell",
             t0=t0,
         )
         supervisor.items_of = lambda ci: len(chunks[ci])
 
-    def record(chunk_id: int, envelope: dict[str, Any]) -> None:
-        nonlocal done_count
-        results = envelope["batch"]
-        model.observe(ckey, float(envelope["compute_seconds"]), len(results))
-        s = float(envelope["t_start"]) - t0
-        e = float(envelope["t_end"]) - t0
-        k = len(results)
-        for j, summary in enumerate(results):
-            cell_id = int(summary["cell"])
-            summaries[cell_id] = summary
-            done_count += 1
-            if manifest is not None:
-                manifest.write(
-                    json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n"
-                )
-                manifest.flush()
-            if progress is not None:
-                progress(done_count, total)
-            if bus is not None:
-                bus.publish(
-                    PoolTaskCompleted(
-                        time.perf_counter() - t0,
-                        "cell",
-                        done_count,
-                        total,
-                        s + (e - s) * j / k,
-                        s + (e - s) * (j + 1) / k,
-                    )
-                )
+    record = _batch_lander("cell", summaries, total, t0, ckey, manifest, progress, bus)
 
     try:
         if shared_maps:
@@ -639,17 +599,7 @@ def run_grid(
 
         def call(chunk_id: int, attempt: int):
             chunk = chunks[chunk_id]
-            chaos: dict[str, Any] | None = None
-            if attempt == 0 and (kills or hangs or slows):
-                c: dict[str, Any] = {}
-                slow = max((slows.get(cid, 0.0) for cid, _, _ in chunk), default=0.0)
-                if slow:
-                    c["slow"] = slow
-                if any(cid in kills for cid, _, _ in chunk):
-                    c["kill"] = True
-                elif any(cid in hangs for cid, _, _ in chunk):
-                    c["hang"] = {"freeze": False}
-                chaos = c or None
+            chaos = _chaos_verdict(injector, [cid for cid, _, _ in chunk], attempt)
             if store is not None:
                 # zero-copy path: descriptors only, O(1) pickle bytes
                 payload, attach = descriptors, True
@@ -659,7 +609,7 @@ def run_grid(
                 payload, attach = local_shared, False
             return (
                 _grid_chunk,
-                (base_data, chunk, payload, attach, chaos, attempt, profiler is not None),
+                (base_data, chunk, payload, attach, chaos, profiler is not None),
             )
 
         restarts = run_pool_tasks(

@@ -77,7 +77,8 @@ def _worker_init(
     heartbeat likewise always runs when the pool has a stamp directory:
     whether a given dispatch is supervised is the *parent's* choice, and
     a worker spawned under an unsupervised sweep may serve a supervised
-    one minutes later.
+    one minutes later.  The throwaway cold and narrow executors of
+    :func:`~repro.sweep.runner.run_pool_tasks` install it too.
     """
     from repro.obs.profile import _profile_worker_init
 

@@ -20,19 +20,14 @@ import multiprocessing
 import os
 import time
 import zlib
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    as_completed,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.obs.events import EventBus, PoolTaskCompleted
-from repro.sweep.pool import WarmPool, cost_model, warm_pool
+from repro.sweep.pool import WarmPool, _worker_init, cost_model, warm_pool
 from repro.sweep.supervise import (
     SupervisionPolicy,
     Supervisor,
@@ -40,7 +35,7 @@ from repro.sweep.supervise import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults import FaultPlan
+    from repro.faults import FaultInjector, FaultPlan
     from repro.obs.profile import PoolProfiler
 
 __all__ = [
@@ -419,15 +414,18 @@ class SweepWorkerDied(RuntimeError):
 def _apply_chaos(chaos: dict[str, Any] | None, what: str) -> None:
     """Execute one task's injected misbehavior (worker side).
 
-    ``chaos`` is the host-computed verdict for this attempt —
+    ``chaos`` is the host-computed verdict for this attempt (see
+    :func:`_chaos_verdict`) —
     ``{"slow": seconds, "kill": True, "hang": {"freeze": bool}}`` in any
     combination (all optional; ``None`` means behave).  Order matters:
 
     * ``slow`` sleeps *before* the batch stamps ``t_start``, so an
       injected slowdown can blow a deadline without ever polluting the
       cost model's compute-seconds EWMA;
-    * ``kill`` is the PR 8 crash — hard ``os._exit`` in a pool child,
-      :class:`SweepWorkerDied` inline;
+    * ``kill`` is a hard ``os._exit`` in a pool child (the process dies
+      without cleanup, exactly like an OOM kill or a segfault, and the
+      parent sees :class:`BrokenProcessPool`), :class:`SweepWorkerDied`
+      inline;
     * ``hang`` never returns in a pool child (the supervisor must
       preempt it); ``freeze`` first stops the liveness beat, simulating
       a process so wedged its watchdog thread is dead too — that is the
@@ -456,36 +454,51 @@ def _apply_chaos(chaos: dict[str, Any] | None, what: str) -> None:
         raise SweepWorkerDied(f"injected hang of {what}")
 
 
-def _pool_entry(
-    spec_data: dict[str, Any],
-    replication: int,
-    kill: bool,
-    attempt: int,
-    instrument: bool = False,
-) -> dict[str, Any]:
-    """Pool-side wrapper around :func:`run_replication` with kill injection.
+def _chaos_injector(fault_plan: "FaultPlan | None") -> "FaultInjector | None":
+    """The injector for ``fault_plan``'s pool-worker faults, or ``None``
+    when it declares none (the drivers then skip every verdict)."""
+    if fault_plan is None or not (
+        fault_plan.sweep_kills or fault_plan.sweep_hangs or fault_plan.sweep_slows
+    ):
+        return None
+    from repro.faults import FaultInjector
 
-    An injected :class:`~repro.faults.SweepWorkerKill` fires on the first
-    attempt only: in a pool child it is a hard ``os._exit`` (the process
-    dies without cleanup, exactly like an OOM kill or a segfault, and the
-    parent sees :class:`BrokenProcessPool`); inline it raises
-    :class:`SweepWorkerDied` so the same resubmission path runs without a
-    pool.  The resubmitted attempt carries ``attempt >= 1`` and completes
-    normally with the same derived seed — which is why a killed-and-
-    recovered sweep stays byte-identical to a fault-free one.
+    return FaultInjector(fault_plan)
+
+
+def _chaos_verdict(
+    injector: "FaultInjector | None", units: Sequence[int], attempt: int
+) -> dict[str, Any] | None:
+    """One pool task's injected-misbehavior verdict for this attempt.
+
+    ``units`` are the task's replication indices (or grid cell ids) — the
+    index space every ``SweepWorker*`` fault names.  The task sleeps for
+    the longest slowdown among its units, dies if any unit's kill is
+    armed, and otherwise hangs on its first armed hang.  The resubmitted
+    attempt draws its own verdict: a kill or hang fires while ``attempt``
+    is below its ``attempts``, a slowdown on the first attempt only.
     """
-    if kill and attempt == 0:
-        if multiprocessing.parent_process() is not None:
-            os._exit(17)
-        raise SweepWorkerDied(f"injected kill of replication {replication}")
-    return run_replication(spec_data, replication, instrument=instrument)
+    if injector is None:
+        return None
+    chaos: dict[str, Any] = {}
+    slow = max((injector.slows_replication(u, attempt) for u in units), default=0.0)
+    if slow:
+        chaos["slow"] = slow
+    if any(injector.kills_replication(u, attempt) for u in units):
+        chaos["kill"] = True
+    else:
+        for u in units:
+            hang = injector.hangs_replication(u, attempt)
+            if hang is not None:
+                chaos["hang"] = {"freeze": hang.freeze_heartbeat}
+                break
+    return chaos or None
 
 
 def _pool_entry_batch(
     spec_data: dict[str, Any],
     replications: Sequence[int],
-    chaos: dict[str, Any] | bool | None,
-    attempt: int,
+    chaos: dict[str, Any] | None,
     instrument: bool = False,
 ) -> dict[str, Any]:
     """Run a batch of replications as one pool task.
@@ -499,12 +512,8 @@ def _pool_entry_batch(
     concurrency-overlap accounting — host facts, never report content.
 
     ``chaos`` is this attempt's injected-misbehavior verdict, computed on
-    the host from the fault plan (see :func:`_apply_chaos`).  A plain
-    ``bool`` is the PR 8 calling convention — kill on the first attempt —
-    kept so existing callers and pickled submissions stay valid.
+    the host from the fault plan (see :func:`_apply_chaos`).
     """
-    if isinstance(chaos, bool):
-        chaos = {"kill": True} if (chaos and attempt == 0) else None
     _apply_chaos(chaos, f"replication batch {list(replications)}")
     t0 = time.perf_counter()
     out = [run_replication(spec_data, r, instrument=instrument) for r in replications]
@@ -515,6 +524,59 @@ def _pool_entry_batch(
         "t_start": t0,
         "t_end": t1,
     }
+
+
+def _batch_lander(
+    unit: str,
+    summaries: dict[int, dict[str, Any]],
+    total: int,
+    t0: float,
+    ckey: str,
+    manifest: IO[str] | None,
+    progress: Callable[[int, int], None] | None,
+    bus: EventBus | None,
+) -> Callable[[Any, dict[str, Any]], None]:
+    """The ``record`` callback the sweep and grid drivers hand
+    :func:`run_pool_tasks`.
+
+    It lands one pool task's batch envelope: folds the measured compute
+    into the cost model under ``ckey``, files each summary in
+    ``summaries`` by its ``unit`` field (``"replication"`` or ``"cell"``),
+    journals it to ``manifest``, reports ``progress(done, total)``, and
+    publishes a :class:`~repro.obs.events.PoolTaskCompleted` carrying the
+    unit's share of the task's measured busy span.
+    """
+    model = cost_model()
+
+    def record(_task: Any, envelope: dict[str, Any]) -> None:
+        results = envelope["batch"]
+        model.observe(ckey, float(envelope["compute_seconds"]), len(results))
+        # a batch's units run back to back on one worker, so an even split
+        # of its busy span is the right first-order picture for overlap math
+        s = float(envelope["t_start"]) - t0
+        e = float(envelope["t_end"]) - t0
+        k = len(results)
+        for j, summary in enumerate(results):
+            summaries[int(summary[unit])] = summary
+            done = len(summaries)
+            if manifest is not None:
+                manifest.write(json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
+                manifest.flush()
+            if progress is not None:
+                progress(done, total)
+            if bus is not None:
+                bus.publish(
+                    PoolTaskCompleted(
+                        time.perf_counter() - t0,
+                        unit,
+                        done,
+                        total,
+                        s + (e - s) * j / k,
+                        s + (e - s) * (j + 1) / k,
+                    )
+                )
+
+    return record
 
 
 def _sweep_cost_key(spec_data: dict[str, Any]) -> str:
@@ -528,58 +590,59 @@ def _sweep_cost_key(spec_data: dict[str, Any]) -> str:
 _MANIFEST_KIND = "sweep-manifest"
 
 
-def _load_manifest(
-    path: str | Path,
-    spec_data: dict[str, Any],
-    kind: str = _MANIFEST_KIND,
-    key: str = "replication",
-) -> dict[int, dict[str, Any]]:
-    """Completed task summaries journaled at ``path``, keyed by ``key``.
-
-    Returns ``{}`` when the file does not exist.  Raises when the manifest
-    belongs to a different spec — resuming someone else's sweep would
-    silently mix incompatible results.  A trailing partial line (the
-    previous process died mid-write) is ignored.  The grid engine reuses
-    this with its own ``kind`` / ``key`` (cell-indexed entries).
-    """
-    path = Path(path)
-    if not path.exists():
-        return {}
-    out: dict[int, dict[str, Any]] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        header_seen = False
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn tail write from a crashed run; everything before it counts
-            if not header_seen:
-                header_seen = True
-                if entry.get("kind") != kind:
-                    raise ValueError(f"{path} is not a {kind}")
-                if entry.get("spec") != spec_data:
-                    raise ValueError(
-                        f"manifest {path} was written for a different sweep spec; "
-                        f"refusing to resume (delete it to start over)"
-                    )
-                continue
-            out[int(entry[key])] = entry
-    return out
-
-
 def _open_manifest(
-    path: str | Path,
+    path: str | Path | None,
     spec_data: dict[str, Any],
     resume: bool,
     kind: str = _MANIFEST_KIND,
-) -> IO[str]:
-    """Open the journal for appending; fresh (non-resume) runs rewrite it."""
+    key: str = "replication",
+) -> tuple[dict[int, dict[str, Any]], IO[str] | None]:
+    """Open the JSONL journal at ``path``: ``(journaled, append handle)``.
+
+    Without a ``path`` nothing is journaled: ``({}, None)``.  A fresh
+    (non-resume) run rewrites the file behind a header naming ``kind``
+    and the spec.  On resume, ``journaled`` holds every completed task
+    summary already in the file, keyed by its ``key`` field; a manifest
+    written for a different spec is refused, because resuming someone
+    else's sweep would silently mix incompatible results.  The grid
+    engine passes its own ``kind`` / ``key`` (cell-indexed entries).
+
+    A record counts only once its newline is on disk.  A torn tail (the
+    previous process died mid-write) is ignored *and cut off* before
+    appending: left in place, it would fuse with the next entry and every
+    later resume would stop reading there.  A file without a complete
+    header is rewritten from scratch.
+    """
+    if path is None:
+        return {}, None
     path = Path(path)
+    journaled: dict[int, dict[str, Any]] = {}
     if resume and path.exists():
-        return path.open("a", encoding="utf-8")
+        header_seen = False
+        with path.open("rb+") as fh:
+            end = 0  # offset just past the last record that counts
+            for line in fh:
+                try:
+                    entry = json.loads(line) if line.endswith(b"\n") else None
+                except json.JSONDecodeError:
+                    entry = None
+                if entry is None:
+                    break  # torn tail write from a crashed run; everything before it counts
+                if not header_seen:
+                    header_seen = True
+                    if entry.get("kind") != kind:
+                        raise ValueError(f"{path} is not a {kind}")
+                    if entry.get("spec") != spec_data:
+                        raise ValueError(
+                            f"manifest {path} was written for a different sweep spec; "
+                            f"refusing to resume (delete it to start over)"
+                        )
+                else:
+                    journaled[int(entry[key])] = entry
+                end += len(line)
+            fh.truncate(end)
+        if header_seen:
+            return journaled, path.open("a", encoding="utf-8")
     fh = path.open("w", encoding="utf-8")
     fh.write(
         json.dumps(
@@ -590,27 +653,10 @@ def _open_manifest(
         + "\n"
     )
     fh.flush()
-    return fh
+    return journaled, fh
 
 
 # ---------------------------------------------------------------------- pool driver
-def _cold_worker_init(
-    profiled: bool = False,
-    heartbeat_dir: str | None = None,
-    heartbeat_interval: float = 1.0,
-) -> None:
-    """Initializer for supervised cold/narrow executors: profiler stamp
-    (when a profiler is attached) plus the liveness heartbeat."""
-    if profiled:
-        from repro.obs.profile import _profile_worker_init
-
-        _profile_worker_init()
-    if heartbeat_dir is not None:
-        from repro.sweep.supervise import start_heartbeat
-
-        start_heartbeat(heartbeat_dir, heartbeat_interval)
-
-
 def run_pool_tasks(
     keys: Sequence[Any],
     call: Callable[[Any, int], tuple[Callable[..., Any], tuple[Any, ...]]],
@@ -633,42 +679,41 @@ def run_pool_tasks(
     ``workers=1`` runs inline — no pool, no fork — which doubles as the
     reference execution for the byte-identical-report guarantee.
 
-    ``pool`` selects the pool discipline: ``"warm"`` (default) runs on the
-    process-wide :class:`~repro.sweep.pool.WarmPool` — workers persist
-    across driver calls, so only the first sweep in a process pays
-    start-up; a :class:`WarmPool` instance uses that pool; ``"cold"``
-    restores the original executor-per-call behaviour (the reference the
-    lifecycle tests compare against).  Because the warm pool may be wider
-    than ``workers`` (it never shrinks), submissions are windowed: at most
-    ``workers`` tasks are in flight at once, so the requested concurrency
-    is honoured exactly regardless of pool width.
+    Pooled dispatch walks rungs of the degradation ladder (see
+    :func:`~repro.sweep.supervise.degradation_ladder`), each running the
+    same windowed loop: at most the rung's width of tasks in flight, wait
+    for one to finish, record it, top the window up.  The ``warm`` rung
+    runs on ``pool`` — the process-wide
+    :class:`~repro.sweep.pool.WarmPool` for ``"warm"``, or the given
+    instance — whose workers persist across driver calls and which may be
+    wider than the rung (it never shrinks); the window is what honours the
+    requested concurrency.  ``cold`` and ``narrow`` rungs (``pool="cold"``
+    starts at ``cold``) build a throwaway executor with the pool's worker
+    initializer, join it when the rung finishes, and drop it without
+    waiting after a break.
 
-    Crash-salvage is identical in every mode: a dead child (injected
-    kill, real OOM/segfault) breaks the executor; this driver salvages
-    every future that finished before the break, rebuilds the pool (the
-    warm pool via :meth:`~repro.sweep.pool.WarmPool.rebuild`), and
-    resubmits the missing keys with ``attempt`` incremented — up to
-    ``max_restarts`` rebuilds.  Inline kills surface as
-    :class:`SweepWorkerDied` and retry through the same accounting.
+    Crash-salvage is the same on every rung: a dead child (injected kill,
+    real OOM/segfault, supervisor preemption) breaks the executor; the
+    loop records every future that finished before the break, rebuilds the
+    pool, and resubmits the missing keys with ``attempt`` incremented.
+    Inline kills surface as :class:`SweepWorkerDied` and retry through the
+    same accounting.
+
+    Unsupervised dispatch (``supervisor=None``) is a one-rung ladder with
+    a blocking ``wait`` and a budget of ``max_restarts`` rebuilds, after
+    which it raises.  A ``supervisor`` adds only what hangs need: ``wait``
+    wakes every
+    :attr:`~repro.sweep.supervise.SupervisionPolicy.poll_interval` to probe
+    deadlines and worker heartbeats (a detected hang preempts the workers
+    into the salvage path, so reports stay byte-identical under hangs for
+    the same reason they do under kills), and a rung whose budget runs out
+    steps down the ladder (``warm → cold → narrow → serial``) instead of
+    raising; the serial rung runs inline and always completes.
 
     With ``profiler`` set, every submission is routed through the
     profiling envelope (see :class:`~repro.obs.profile.PoolProfiler`);
     the envelope is unwrapped *before* ``record`` runs, so downstream
     accounting — and the canonical report bytes — are untouched.
-
-    With ``supervisor`` set (and ``workers > 1``), dispatch runs the
-    supervised drive instead: a single windowed loop (used for warm *and*
-    cold pools) whose ``wait`` wakes every
-    :attr:`~repro.sweep.supervise.SupervisionPolicy.poll_interval` to
-    probe deadlines and worker heartbeats.  A detected hang preempts the
-    pool's workers, which lands in the very same salvage/rebuild/resubmit
-    path a crash does — so reports stay byte-identical under hangs for
-    the same reason they do under kills.  When one rung exhausts its
-    restart budget the driver walks the degradation ladder
-    (``warm → cold → narrow → serial``) instead of raising; the serial
-    rung runs inline and always completes.  Unsupervised dispatch
-    (``supervisor=None``) is the exact pre-existing loop — no polling, no
-    ladder, raise after ``max_restarts``.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -690,31 +735,6 @@ def run_pool_tasks(
         done.add(key)
         record(key, result)
 
-    def salvage(futs: dict[Any, Any]) -> None:
-        # A dead child takes the whole executor down.  Results that
-        # finished before the break are still inside their futures —
-        # salvage them before resubmitting the rest.
-        for fut, key in futs.items():
-            if key in done or not fut.done():
-                continue
-            try:
-                note(key, fut.result())
-            except BrokenProcessPool:
-                pass
-
-    def bump_attempts() -> None:
-        for key in keys:
-            if key not in done:
-                attempts[key] += 1
-
-    def too_many() -> RuntimeError:
-        missing = [k for k in keys if k not in done]
-        return RuntimeError(
-            f"{what} pool died {restarts} times "
-            f"(max_restarts={max_restarts}); {what}s "
-            f"{missing} not completed"
-        )
-
     def run_inline(subset: Sequence[Any]) -> None:
         nonlocal restarts
         for key in subset:
@@ -727,145 +747,112 @@ def run_pool_tasks(
                     attempts[key] += 1
                     restarts += 1
 
-    pending = [k for k in keys if k not in done]
     if workers == 1:
-        run_inline(pending)
+        run_inline(keys)
         return restarts
 
     warm = pool if isinstance(pool, WarmPool) else (warm_pool() if pool == "warm" else None)
-
-    if supervisor is not None:
-        # ---------------------------------------------------- supervised drive
+    start = "warm" if warm is not None else "cold"
+    if supervisor is None:
+        rungs, budget, poll, beat = [(start, workers)], max_restarts, None, ()
+    else:
         if supervisor.heartbeat_dir is None and warm is not None:
             supervisor.heartbeat_dir = warm.heartbeat_dir
-        policy = supervisor.policy
-        start = supervisor.rung if supervisor.rung is not None else (
-            "warm" if warm is not None else "cold"
-        )
+        start = supervisor.rung or start
         if warm is None and start == "warm":
             start = "cold"
         rungs = degradation_ladder(start, workers)
         budget = supervisor.rung_budget(max_restarts)
-        for rung_idx, (rung, width) in enumerate(rungs):
-            pending = [k for k in keys if k not in done]
-            if not pending:
-                break
-            supervisor.begin(what, rung)
-            if rung == "serial":
-                run_inline(pending)
-                break
-            rung_restarts = 0
-            degraded = False
-            while pending and not degraded:
-                futs = {}
-                cold_ex: ProcessPoolExecutor | None = None
-                try:
-                    if rung == "warm":
-                        assert warm is not None
-                        executor = warm.executor(width)
-                    else:
-                        cold_ex = executor = ProcessPoolExecutor(
-                            max_workers=min(width, len(pending)),
-                            initializer=_cold_worker_init,
-                            initargs=(
-                                profiler is not None,
-                                supervisor.heartbeat_dir,
-                                policy.heartbeat_interval,
-                            ),
-                        )
-                    try:
-                        waiting: set[Any] = set()
-                        idx = 0
-                        while idx < len(pending) or waiting:
-                            while idx < len(pending) and len(waiting) < width:
-                                key = pending[idx]
-                                fn, args = prepare(key)
-                                fut = executor.submit(fn, *args)
-                                futs[fut] = key
-                                waiting.add(fut)
-                                supervisor.track(fut, key)
-                                if rung == "warm":
-                                    warm.tasks_dispatched += 1
-                                idx += 1
-                            finished, waiting = wait(
-                                waiting,
-                                timeout=policy.poll_interval,
-                                return_when=FIRST_COMPLETED,
-                            )
-                            for fut in finished:
-                                supervisor.untrack(fut)
-                                note(futs[fut], fut.result())
-                            if waiting:
-                                supervisor.check(executor)
-                    finally:
-                        if cold_ex is not None:
-                            cold_ex.shutdown(wait=False, cancel_futures=True)
-                except BrokenProcessPool:
-                    salvage(futs)
-                    supervisor.clear_inflight()
-                    restarts += 1
-                    rung_restarts += 1
-                    if rung == "warm":
-                        assert warm is not None
-                        warm.rebuild()
-                    bump_attempts()
-                    if rung_restarts > budget:
-                        if not policy.degrade or rung_idx == len(rungs) - 1:
-                            raise too_many() from None
-                        supervisor.degrade(rung, rungs[rung_idx + 1][0], restarts)
-                        degraded = True
-                pending = [k for k in keys if k not in done]
-        supervisor.reap_shm()
-        return restarts
+        poll = supervisor.policy.poll_interval
+        beat = (supervisor.heartbeat_dir, supervisor.policy.heartbeat_interval)
 
-    if warm is None:
-        initializer = profiler.initializer if profiler is not None else None
+    for rung_idx, (rung, width) in enumerate(rungs):
+        pending = [k for k in keys if k not in done]
+        if not pending:
+            break
+        if supervisor is not None:
+            supervisor.begin(what, rung)
+        if rung == "serial":
+            run_inline(pending)
+            break
+        rung_restarts = 0
         while pending:
             futs: dict[Any, Any] = {}
+            own: ProcessPoolExecutor | None = None
             try:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(pending)), initializer=initializer
-                ) as cold:
-                    for key in pending:
+                if rung == "warm":
+                    executor = warm.executor(width)
+                else:
+                    own = executor = ProcessPoolExecutor(
+                        max_workers=min(width, len(pending)),
+                        initializer=_worker_init,
+                        initargs=beat,
+                    )
+                waiting: set[Any] = set()
+                idx = 0
+                while idx < len(pending) or waiting:
+                    while idx < len(pending) and len(waiting) < width:
+                        key = pending[idx]
                         fn, args = prepare(key)
-                        futs[cold.submit(fn, *args)] = key
-                    for fut in as_completed(futs):
+                        fut = executor.submit(fn, *args)
+                        futs[fut] = key
+                        waiting.add(fut)
+                        if supervisor is not None:
+                            supervisor.track(fut, key)
+                        if own is None:
+                            warm.tasks_dispatched += 1
+                        idx += 1
+                    finished, waiting = wait(
+                        waiting, timeout=poll, return_when=FIRST_COMPLETED
+                    )
+                    for fut in finished:
+                        if supervisor is not None:
+                            supervisor.untrack(fut)
                         note(futs[fut], fut.result())
+                    if waiting and supervisor is not None:
+                        supervisor.check(executor)
+                if own is not None:
+                    own.shutdown(wait=True)
             except BrokenProcessPool:
-                salvage(futs)
+                # A dead child takes the whole executor down.  Results that
+                # finished before the break are still inside their futures —
+                # salvage them before resubmitting the rest.
+                for fut, key in futs.items():
+                    if key in done or not fut.done():
+                        continue
+                    try:
+                        note(key, fut.result())
+                    except BrokenProcessPool:
+                        pass
                 restarts += 1
-                if restarts > max_restarts:
-                    raise too_many() from None
-                bump_attempts()
+                rung_restarts += 1
+                if own is None:
+                    warm.rebuild()
+                if supervisor is not None:
+                    supervisor.clear_inflight()
+                for key in pending:
+                    if key not in done:
+                        attempts[key] += 1
+                if rung_restarts > budget:
+                    if (
+                        supervisor is None
+                        or not supervisor.policy.degrade
+                        or rung_idx == len(rungs) - 1
+                    ):
+                        missing = [k for k in keys if k not in done]
+                        raise RuntimeError(
+                            f"{what} pool died {restarts} times "
+                            f"(max_restarts={max_restarts}); {what}s "
+                            f"{missing} not completed"
+                        ) from None
+                    supervisor.degrade(rung, rungs[rung_idx + 1][0], restarts)
+                    break
+            finally:
+                if own is not None:  # a no-op after the clean join above
+                    own.shutdown(wait=False, cancel_futures=True)
             pending = [k for k in keys if k not in done]
-        return restarts
-
-    while pending:
-        futs = {}
-        try:
-            executor = warm.executor(workers)
-            waiting: set[Any] = set()
-            idx = 0
-            while idx < len(pending) or waiting:
-                while idx < len(pending) and len(waiting) < workers:
-                    key = pending[idx]
-                    fn, args = prepare(key)
-                    fut = executor.submit(fn, *args)
-                    futs[fut] = key
-                    waiting.add(fut)
-                    warm.tasks_dispatched += 1
-                    idx += 1
-                finished, waiting = wait(waiting, return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    note(futs[fut], fut.result())
-        except BrokenProcessPool:
-            salvage(futs)
-            restarts += 1
-            warm.rebuild()
-            if restarts > max_restarts:
-                raise too_many() from None
-            bump_attempts()
-        pending = [k for k in keys if k not in done]
+    if supervisor is not None:
+        supervisor.reap_shm()
     return restarts
 
 
@@ -942,70 +929,19 @@ def run_sweep(
     if batch_size is not None and batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     spec_data = spec.to_dict()
-    injector = None
-    if fault_plan is not None and (
-        fault_plan.sweep_kills or fault_plan.sweep_hangs or fault_plan.sweep_slows
-    ):
-        from repro.faults import FaultInjector
-
-        injector = FaultInjector(fault_plan)
-
-    def chaos_for(batch: Sequence[int], attempt: int) -> dict[str, Any] | None:
-        """This attempt's injected-misbehavior verdict for one batch."""
-        if injector is None:
-            return None
-        chaos: dict[str, Any] = {}
-        slow = max((injector.slows_replication(i, attempt) for i in batch), default=0.0)
-        if slow:
-            chaos["slow"] = slow
-        if any(injector.kills_replication(i, attempt) for i in batch):
-            chaos["kill"] = True
-        else:
-            for i in batch:
-                hang = injector.hangs_replication(i, attempt)
-                if hang is not None:
-                    chaos["hang"] = {"freeze": hang.freeze_heartbeat}
-                    break
-        return chaos or None
-
+    injector = _chaos_injector(fault_plan)
     total = spec.replications
     t0 = time.perf_counter()
-    summaries: dict[int, dict[str, Any]] = {}
-    if manifest_path is not None and resume:
-        summaries.update(_load_manifest(manifest_path, spec_data))
-    manifest = (
-        _open_manifest(manifest_path, spec_data, resume)
-        if manifest_path is not None
-        else None
-    )
-    done_count = len(summaries)
-    resumed = done_count
+    summaries, manifest = _open_manifest(manifest_path, spec_data, resume)
+    resumed = len(summaries)
     restarts = 0
-
-    def record(i: int, summary: dict[str, Any], started: float, finished: float) -> None:
-        nonlocal done_count
-        summaries[i] = summary
-        done_count += 1
-        if manifest is not None:
-            manifest.write(json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
-            manifest.flush()
-        if progress is not None:
-            progress(done_count, total)
-        if bus is not None:
-            bus.publish(
-                PoolTaskCompleted(
-                    time.perf_counter() - t0,
-                    "replication",
-                    done_count,
-                    total,
-                    started,
-                    finished,
-                )
-            )
 
     instrument = profiler is not None
     model = cost_model()
     ckey = _sweep_cost_key(spec_data)
+    record = _batch_lander(
+        "replication", summaries, total, t0, ckey, manifest, progress, bus
+    )
     warm = pool if isinstance(pool, WarmPool) else (warm_pool() if pool == "warm" else None)
     supervisor: Supervisor | None = None
     if supervision:
@@ -1015,7 +951,6 @@ def run_sweep(
             estimate=lambda: model.estimate(ckey),
             bus=bus,
             metrics=profiler.metrics if profiler is not None else None,
-            heartbeat_dir=warm.heartbeat_dir if warm is not None else None,
             what="replication",
             t0=t0,
         )
@@ -1026,32 +961,13 @@ def run_sweep(
 
         def call(bi: int, attempt: int):
             batch = batches[bi]
-            return (
-                _pool_entry_batch,
-                (spec_data, batch, chaos_for(batch, attempt), attempt, instrument),
-            )
-
-        def record_batch(bi: int, envelope: dict[str, Any]) -> None:
-            results = envelope["batch"]
-            model.observe(ckey, float(envelope["compute_seconds"]), len(results))
-            # divide the pool task's measured busy span evenly across its
-            # batch (replications run sequentially on one worker, so even
-            # division is the right first-order picture for overlap math)
-            s = float(envelope["t_start"]) - t0
-            e = float(envelope["t_end"]) - t0
-            k = len(results)
-            for j, summary in enumerate(results):
-                record(
-                    int(summary["replication"]),
-                    summary,
-                    s + (e - s) * j / k,
-                    s + (e - s) * (j + 1) / k,
-                )
+            chaos = _chaos_verdict(injector, batch, attempt)
+            return _pool_entry_batch, (spec_data, batch, chaos, instrument)
 
         return run_pool_tasks(
             list(range(len(batches))),
             call,
-            record_batch,
+            record,
             workers=workers,
             max_restarts=max_restarts,
             what="replication",

@@ -43,8 +43,12 @@ bounded wall-clock is the acceptance bar the chaos harness enforces.
 
 Supervision is opt-in (``supervision=`` on :func:`~repro.sweep.run_sweep`
 / :func:`~repro.sweep.run_grid`, or ``--supervise``/``--task-timeout`` on
-the CLI); an unsupervised dispatch runs the exact pre-existing loop with
-no polling and no overhead.
+the CLI) and adds no second dispatch loop.  ``run_pool_tasks`` has one
+windowed loop over ladder rungs; unsupervised it walks a single rung with
+a blocking ``wait`` and raises once ``max_restarts`` is spent.  A
+:class:`Supervisor` adds only the poll timeout, the
+:meth:`~Supervisor.track` / :meth:`~Supervisor.untrack` /
+:meth:`~Supervisor.check` hooks and the lower rungs.
 """
 
 from __future__ import annotations

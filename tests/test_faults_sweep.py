@@ -91,6 +91,11 @@ class TestManifest:
         manifest.write_text(text[: len(text) - 40])  # tear the last record
         resumed = run_sweep(SPEC, workers=1, manifest_path=manifest, resume=True)
         assert resumed.report.to_json() == reference_json()
+        # the first resume journaled the torn replication again; a second
+        # resume must find every replication, not stop at the old tear
+        again = run_sweep(SPEC, workers=1, manifest_path=manifest, resume=True)
+        assert again.resumed == SPEC.replications
+        assert again.report.to_json() == reference_json()
 
     def test_resume_refuses_foreign_spec(self, tmp_path):
         manifest = tmp_path / "sweep.jsonl"

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.faults import FaultPlan, SweepWorkerKill
 from repro.sweep import (
     GridAxis,
     GridSpec,
@@ -138,7 +139,9 @@ class TestDeterminism:
 
     def test_killed_worker_byte_identical(self):
         reference = run_grid(GRID, workers=1).report.to_json()
-        outcome = run_grid(GRID, workers=2, kill_cells=[1])
+        outcome = run_grid(
+            GRID, workers=2, fault_plan=FaultPlan(faults=(SweepWorkerKill(1),))
+        )
         assert outcome.report.to_json() == reference
         assert outcome.worker_restarts == 1
 

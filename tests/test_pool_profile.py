@@ -27,7 +27,7 @@ from repro.obs import (
     merge_counters,
     worker_registry,
 )
-from repro.sweep import GridSpec, SweepSpec, parse_axis, run_grid, run_sweep
+from repro.sweep import GridSpec, SweepSpec, WarmPool, parse_axis, run_grid, run_sweep
 
 SPEC = SweepSpec("identity", replications=3, seed=7, sim_workers=4)
 
@@ -36,7 +36,15 @@ class TestSweepByteIdentity:
     def test_profiled_pool_sweep_matches_plain_inline(self):
         plain = run_sweep(SPEC, workers=1)
         profiler = PoolProfiler()
-        profiled = run_sweep(SPEC, workers=2, profiler=profiler, batch_size=1)
+        # a private pool: the process-wide one may have been widened by an
+        # earlier test, and the width bound below is about this sweep alone
+        pool = WarmPool()
+        try:
+            profiled = run_sweep(
+                SPEC, workers=2, profiler=profiler, batch_size=1, pool=pool
+            )
+        finally:
+            pool.shutdown()
         assert profiled.report.to_json() == plain.report.to_json()
         profile = profiler.profile("replication", profiled.pool_workers)
         assert len(profile.tasks) == SPEC.replications

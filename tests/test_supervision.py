@@ -122,10 +122,14 @@ class TestDeadlineHangs:
 
 # ------------------------------------------------------------------ heartbeats
 class TestHeartbeats:
-    def test_frozen_worker_detected_by_heartbeat_before_deadline(self):
+    @pytest.mark.parametrize("driver", [run_sweep, run_grid], ids=["sw", "gr"])
+    def test_frozen_worker_detected_by_heartbeat_before_deadline(self, driver):
         # freeze_heartbeat simulates a process too wedged to run even its
         # watchdog thread; the 60s task deadline would eventually catch it,
-        # but the stale stamp must trip first (within ~a second).
+        # but the stale stamp must trip first (within ~a second).  Sweeps
+        # and grids share the fault plan, so a grid cell can freeze too.
+        spec = SPEC if driver is run_sweep else TestGridSupervision.GRID
+        reference = driver(spec, workers=1).report.to_json()
         bus = EventBus()
         hung: list[PoolTaskHung] = []
         bus.subscribe(PoolTaskHung, hung.append)
@@ -134,9 +138,9 @@ class TestHeartbeats:
         plan = FaultPlan(faults=(SweepWorkerHang(1, freeze_heartbeat=True),))
         policy = SupervisionPolicy(task_timeout=60.0, heartbeat_timeout=2.5, **FAST)
         t0 = time.perf_counter()
-        outcome = run_sweep(SPEC, workers=2, fault_plan=plan, supervision=policy, bus=bus)
+        outcome = driver(spec, workers=2, fault_plan=plan, supervision=policy, bus=bus)
         elapsed = time.perf_counter() - t0
-        assert outcome.report.to_json() == reference_json()
+        assert outcome.report.to_json() == reference
         assert elapsed < 30, f"heartbeat detection took {elapsed:.1f}s"
         assert any(e.reason == "heartbeat" for e in hung)
 
@@ -229,9 +233,11 @@ class TestGridSupervision:
     def test_hung_and_slow_cells_recover_byte_identical(self):
         ref = run_grid(self.GRID, workers=1).report.to_json()
         policy = SupervisionPolicy(task_timeout=1.2, heartbeat_timeout=None, **FAST)
+        plan = FaultPlan(
+            faults=(SweepWorkerHang(1), SweepWorkerSlow(0, delay_seconds=0.2))
+        )
         outcome = run_grid(
-            self.GRID, workers=2, hang_cells=[1], slow_cells={0: 0.2},
-            supervision=policy, pool="cold",
+            self.GRID, workers=2, fault_plan=plan, supervision=policy, pool="cold"
         )
         assert outcome.report.to_json() == ref
         assert outcome.supervision["hangs_detected"] >= 1
