@@ -34,7 +34,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.core.granule import GranuleSet
-from repro.core.mapping import EnablementMapping
+from repro.core.mapping import EnablementMapping, _group_index_arrays
 
 __all__ = [
     "EnablementCounter",
@@ -136,11 +136,12 @@ class CompositeGranuleMap:
     """
 
     def __init__(self, groups: list[CompositeGroup]) -> None:
-        covered = GranuleSet.empty()
-        for g in groups:
-            if not covered.isdisjoint(g.successors):
-                raise ValueError("composite map successor groups must be disjoint")
-            covered = covered | g.successors
+        # the groups are pairwise disjoint exactly when their union loses
+        # no granule to overlap
+        successors = [g.successors for g in groups]
+        covered = GranuleSet.union_all(successors)
+        if len(covered) != sum(map(len, successors)):
+            raise ValueError("composite map successor groups must be disjoint")
         self.groups = list(groups)
         self.covered = covered
         # build provenance, set by build(); None for hand-assembled maps
@@ -410,26 +411,10 @@ class EnablementEngine:
         ``notify(delta)`` touches only the groups ``delta`` credits
         instead of scanning every enablement counter.
         """
-        starts: list[int] = []
-        lens: list[int] = []
-        gids: list[int] = []
-        for gi, (_, counter) in enumerate(self._counters):
-            for r in counter.required.ranges:
-                starts.append(r.start)
-                lens.append(r.stop - r.start)
-                gids.append(gi)
-        if not starts:
-            self._index_offsets = np.zeros(self.n_pred + 1, dtype=np.int64)
-            self._index_gids = np.empty(0, dtype=np.int64)
-            return
-        starts_a = np.asarray(starts, dtype=np.int64)
-        lens_a = np.asarray(lens, dtype=np.int64)
-        gids_a = np.asarray(gids, dtype=np.int64)
-        total = int(lens_a.sum())
         # expand every required range to (pred granule, group id) pairs
-        span_base = np.repeat(np.cumsum(lens_a) - lens_a, lens_a)
-        preds = np.repeat(starts_a, lens_a) + (np.arange(total, dtype=np.int64) - span_base)
-        entry_gids = np.repeat(gids_a, lens_a)
+        preds, entry_gids = _group_index_arrays(
+            [counter.required for _, counter in self._counters]
+        )
         order = np.argsort(preds, kind="stable")
         sorted_preds = preds[order]
         self._index_gids = entry_gids[order]
@@ -499,9 +484,9 @@ class EnablementEngine:
         assert offsets is not None and gids is not None
         assert counts is not None and fired_mask is not None
         parts: list[np.ndarray] = []
-        for r in fresh.ranges:
-            lo = offsets[min(max(r.start, 0), self.n_pred)]
-            hi = offsets[min(max(r.stop, 0), self.n_pred)]
+        for s, e in fresh.spans():
+            lo = offsets[min(max(s, 0), self.n_pred)]
+            hi = offsets[min(max(e, 0), self.n_pred)]
             if hi > lo:
                 parts.append(gids[lo:hi])
         if not parts:

@@ -6,19 +6,23 @@ computations as "large, contiguous collections of granules" that are
 "split apart as necessary to produce conveniently sized tasks for workers
 and then merged back into single descriptions when the work was
 completed".  That makes a half-open integer interval the natural
-representation (:class:`GranuleRange`), and a sorted list of disjoint
+representation (:class:`GranuleRange`), and a sorted run of disjoint
 intervals (:class:`GranuleSet`) the natural bookkeeping structure for
 completed-granule tracking, enablement checks and merge-on-completion.
 
-All operations keep the canonical form invariant: ranges sorted, disjoint,
-non-adjacent and non-empty.  :class:`GranuleSet` is a value type — every
-operation returns a new set.
+A set stores its intervals as one flat, strictly increasing tuple of plain
+integers ``(s0, e0, s1, e1, ...)`` plus its granule count; all operations
+keep that canonical form: ranges sorted, disjoint, non-adjacent and
+non-empty.  :class:`GranuleSet` is a value type — every operation returns
+a new set.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, compress, islice
+from operator import gt, lt
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -87,9 +91,13 @@ class GranuleRange:
 class GranuleSet:
     """An immutable set of granule indices stored as disjoint ranges.
 
-    Supports the set algebra the enablement engine needs: union,
-    intersection, difference, subset tests, and counting — all in
-    O(number of ranges), independent of the number of granules.
+    The ranges live in one strictly increasing tuple of plain-int
+    boundaries ``(s0, e0, s1, e1, ...)`` next to the cached granule count,
+    so ``len`` is O(1), membership is one binary search (an odd insertion
+    point falls inside a range), and the cost of union, intersection and
+    difference grows with the number of ranges, not of granules.
+    :class:`GranuleRange` objects are built only when :attr:`ranges` is
+    read.
 
     Examples
     --------
@@ -98,36 +106,40 @@ class GranuleSet:
     7
     >>> 11 in s
     True
+    >>> s.bounds
+    (0, 5, 10, 12)
     >>> (s | GranuleSet.from_ranges([(5, 10)])).ranges
-    ([0,15),)
+    ([0,12),)
     """
 
-    __slots__ = ("_ranges",)
+    __slots__ = ("_b", "_size")
 
     def __init__(self, ranges: Iterable[GranuleRange] = ()) -> None:
-        self._ranges: tuple[GranuleRange, ...] = self._normalize(ranges)
+        starts: list[int] = []
+        stops: list[int] = []
+        for r in ranges:
+            if r.stop > r.start:
+                starts.append(r.start)
+                stops.append(r.stop)
+        self._b = _union_bounds(starts, stops)
+        self._size = _width(self._b)
 
     # ------------------------------------------------------------------ builders
-    @staticmethod
-    def _normalize(ranges: Iterable[GranuleRange]) -> tuple[GranuleRange, ...]:
-        spans = sorted((r.start, r.stop) for r in ranges if not r.empty)
-        out: list[tuple[int, int]] = []
-        for s, e in spans:
-            if out and s <= out[-1][1]:
-                out[-1] = (out[-1][0], max(out[-1][1], e))
-            else:
-                out.append((s, e))
-        return tuple(GranuleRange(s, e) for s, e in out)
-
     @classmethod
-    def _from_normalized(cls, ranges: tuple[GranuleRange, ...]) -> "GranuleSet":
-        """Wrap ranges already in canonical form, skipping ``_normalize``.
+    def from_bounds(cls, bounds: Iterable[int]) -> "GranuleSet":
+        """Wrap a flat boundary sequence ``(s0, e0, s1, e1, ...)`` as is.
 
-        Callers must guarantee sorted, disjoint, non-adjacent, non-empty.
+        The bulk constructor for code that finds its runs itself (for
+        example in numpy): the boundaries must already be canonical,
+        strictly increasing and of even length, as :attr:`bounds` returns
+        them, and nothing is merged.  Anything else raises ``ValueError``.
         """
-        out = cls.__new__(cls)
-        out._ranges = ranges
-        return out
+        b = tuple(bounds)
+        if len(b) % 2 or not all(map(lt, b, islice(b, 1, None))):
+            raise ValueError(
+                f"granule bounds must be an even count of strictly increasing values: {b[:6]}"
+            )
+        return _new(b, _width(b))
 
     @classmethod
     def from_sorted_ids(cls, ids) -> "GranuleSet":
@@ -135,178 +147,135 @@ class GranuleSet:
 
         ``ids`` is anything :func:`numpy.asarray` accepts (typically the
         output of :func:`numpy.unique`).  Consecutive runs collapse into
-        single ranges without the sort `_normalize` would pay.
+        single ranges in numpy, without a sort.
         """
         arr = np.asarray(ids, dtype=np.int64)
         if arr.size == 0:
             return cls.empty()
         breaks = np.flatnonzero(np.diff(arr) != 1)
-        starts = arr[np.concatenate(([0], breaks + 1))]
-        stops = arr[np.concatenate((breaks, [arr.size - 1]))] + 1
-        return cls._from_normalized(
-            tuple(GranuleRange(int(s), int(e)) for s, e in zip(starts, stops))
-        )
+        bounds = np.empty(2 * breaks.size + 2, dtype=np.int64)
+        bounds[0::2] = arr[np.concatenate(([0], breaks + 1))]
+        bounds[1::2] = arr[np.concatenate((breaks, [arr.size - 1]))] + 1
+        return _new(tuple(bounds.tolist()), arr.size)
 
     @classmethod
     def from_ranges(cls, pairs: Iterable[tuple[int, int]]) -> "GranuleSet":
         """Build from ``(start, stop)`` pairs (overlap/adjacency merged)."""
-        return cls(GranuleRange(s, e) for s, e in pairs)
+        starts: list[int] = []
+        stops: list[int] = []
+        for s, e in pairs:
+            if e < s:
+                raise ValueError(f"range stops before it starts: [{s}, {e})")
+            if e > s:
+                starts.append(s)
+                stops.append(e)
+        return _from_spans(starts, stops)
 
     @classmethod
     def from_ids(cls, ids: Iterable[int]) -> "GranuleSet":
         """Build from individual granule indices."""
-        return cls(GranuleRange(i, i + 1) for i in ids)
+        starts = list(ids)
+        return _from_spans(starts, [i + 1 for i in starts])
 
     @classmethod
     def empty(cls) -> "GranuleSet":
-        return cls(())
+        return _new((), 0)
 
     @classmethod
     def universe(cls, n: int) -> "GranuleSet":
         """The full granule set ``[0, n)`` of an ``n``-granule phase."""
-        return cls((GranuleRange(0, n),))
+        if n < 0:
+            raise ValueError(f"range stops before it starts: [0, {n})")
+        return _new((0, n), n) if n else _new((), 0)
 
     # ------------------------------------------------------------------ queries
     @property
+    def bounds(self) -> tuple[int, ...]:
+        """The flat boundary tuple ``(s0, e0, s1, e1, ...)``."""
+        return self._b
+
+    def spans(self) -> Iterator[tuple[int, int]]:
+        """The ranges as ``(start, stop)`` pairs, in order."""
+        it = iter(self._b)
+        return zip(it, it)
+
+    @property
     def ranges(self) -> tuple[GranuleRange, ...]:
-        return self._ranges
+        """The ranges as :class:`GranuleRange` objects, built on each read."""
+        return tuple(map(GranuleRange, self._b[0::2], self._b[1::2]))
 
     def __len__(self) -> int:
-        return sum(len(r) for r in self._ranges)
+        return self._size
 
     def __bool__(self) -> bool:
-        return bool(self._ranges)
+        return bool(self._b)
 
     def __contains__(self, granule: int) -> bool:
-        # binary search over disjoint sorted ranges
-        lo, hi = 0, len(self._ranges)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            r = self._ranges[mid]
-            if granule < r.start:
-                hi = mid
-            elif granule >= r.stop:
-                lo = mid + 1
-            else:
-                return True
-        return False
+        return bisect_right(self._b, granule) % 2 == 1
 
     def __iter__(self) -> Iterator[int]:
-        for r in self._ranges:
-            yield from r
+        return chain.from_iterable(map(range, self._b[0::2], self._b[1::2]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GranuleSet):
             return NotImplemented
-        return self._ranges == other._ranges
+        return self._b == other._b
 
     def __hash__(self) -> int:
-        return hash(self._ranges)
+        return hash(self._b)
 
     def min(self) -> int:
         """Smallest granule index; raises on an empty set."""
-        if not self._ranges:
+        if not self._b:
             raise ValueError("empty granule set has no minimum")
-        return self._ranges[0].start
+        return self._b[0]
 
     def max(self) -> int:
         """Largest granule index; raises on an empty set."""
-        if not self._ranges:
+        if not self._b:
             raise ValueError("empty granule set has no maximum")
-        return self._ranges[-1].stop - 1
+        return self._b[-1] - 1
 
     # ------------------------------------------------------------------ algebra
     def __or__(self, other: "GranuleSet") -> "GranuleSet":
-        # Linear two-pointer merge: both operands are already canonical,
-        # so re-sorting (what _normalize does) would waste an O(n log n)
-        # pass on every union in the enablement hot path.
-        a, b = self._ranges, other._ranges
+        a, b = self._b, other._b
         if not a:
             return other
         if not b:
             return self
-        out: list[GranuleRange] = []
-        i = j = 0
-        na, nb = len(a), len(b)
-        cur_s, cur_e = None, 0
-        while i < na or j < nb:
-            if j >= nb or (i < na and a[i].start <= b[j].start):
-                r = a[i]
-                i += 1
-            else:
-                r = b[j]
-                j += 1
-            if cur_s is None:
-                cur_s, cur_e = r.start, r.stop
-            elif r.start <= cur_e:
-                if r.stop > cur_e:
-                    cur_e = r.stop
-            else:
-                out.append(GranuleRange(cur_s, cur_e))
-                cur_s, cur_e = r.start, r.stop
-        out.append(GranuleRange(cur_s, cur_e))
-        return GranuleSet._from_normalized(tuple(out))
+        if len(a) == len(b) == 2 and a[0] <= b[1] and b[0] <= a[1]:
+            # two ranges that overlap or touch, the commonest union of all
+            lo, hi = min(a[0], b[0]), max(a[1], b[1])
+            return _new((lo, hi), hi - lo)
+        return _from_spans([*a[0::2], *b[0::2]], [*a[1::2], *b[1::2]])
 
     @classmethod
     def union_all(cls, sets: Iterable["GranuleSet"]) -> "GranuleSet":
         """Union of many sets in one normalization pass.
 
-        Folding with ``|`` costs O(k·n) range copies over k operands; this
-        gathers every range once and merges in a single O(N log k) sweep
-        (``heapq.merge`` exploits that each operand is already sorted).
+        Folding with ``|`` costs O(k·n) boundary copies over k operands;
+        this gathers every boundary once, and one sort of the starts and
+        one of the stops (Timsort merges the already-sorted runs of the
+        operands) feed a single gap scan.
         """
-        lists = [s._ranges for s in sets if s._ranges]
-        if not lists:
-            return cls.empty()
-        if len(lists) == 1:
-            return cls._from_normalized(lists[0])
-        out: list[GranuleRange] = []
-        cur_s, cur_e = None, 0
-        for r in heapq.merge(*lists):
-            if cur_s is None:
-                cur_s, cur_e = r.start, r.stop
-            elif r.start <= cur_e:
-                if r.stop > cur_e:
-                    cur_e = r.stop
-            else:
-                out.append(GranuleRange(cur_s, cur_e))
-                cur_s, cur_e = r.start, r.stop
-        out.append(GranuleRange(cur_s, cur_e))
-        return cls._from_normalized(tuple(out))
+        flat = list(chain.from_iterable([s._b for s in sets]))
+        return _from_spans(flat[0::2], flat[1::2])
 
     def __and__(self, other: "GranuleSet") -> "GranuleSet":
-        out: list[GranuleRange] = []
-        i = j = 0
-        a, b = self._ranges, other._ranges
-        while i < len(a) and j < len(b):
-            inter = a[i].intersection(b[j])
-            if not inter.empty:
-                out.append(inter)
-            if a[i].stop <= b[j].stop:
-                i += 1
-            else:
-                j += 1
-        return GranuleSet(out)
+        a, b = self._b, other._b
+        # intersection is symmetric: walk the operand with fewer ranges
+        return _clip(a, b, 1) if len(a) <= len(b) else _clip(b, a, 1)
 
     def __sub__(self, other: "GranuleSet") -> "GranuleSet":
-        out: list[GranuleRange] = []
-        j = 0
-        b = other._ranges
-        for r in self._ranges:
-            cur = r.start
-            while j < len(b) and b[j].stop <= cur:
-                j += 1
-            k = j
-            while k < len(b) and b[k].start < r.stop:
-                if b[k].start > cur:
-                    out.append(GranuleRange(cur, b[k].start))
-                cur = max(cur, b[k].stop)
-                if cur >= r.stop:
-                    break
-                k += 1
-            if cur < r.stop:
-                out.append(GranuleRange(cur, r.stop))
-        return GranuleSet(out)
+        a, b = self._b, other._b
+        if not a or not b or b[-1] <= a[0] or a[-1] <= b[0]:
+            return self
+        if len(b) < len(a):
+            # walk the fewer gaps of b instead: a - b is a & (not b), and
+            # the gaps of b within a's extent are b padded by one outer
+            # boundary on each side
+            return _clip((min(a[0], b[0]) - 1, *b, max(a[-1], b[-1]) + 1), a, 1)
+        return _clip(a, b, 0)
 
     def issubset(self, other: "GranuleSet") -> bool:
         """True when every granule of ``self`` is in ``other``."""
@@ -325,22 +294,80 @@ class GranuleSet:
         """Split off the ``n`` smallest granules: ``(head, rest)``."""
         if n <= 0:
             return GranuleSet.empty(), self
-        head: list[GranuleRange] = []
-        rest: list[GranuleRange] = []
-        remaining = n
-        for r in self._ranges:
-            if remaining <= 0:
-                rest.append(r)
-            elif len(r) <= remaining:
-                head.append(r)
-                remaining -= len(r)
-            else:
-                a, b2 = r.take(remaining)
-                head.append(a)
-                rest.append(b2)
-                remaining = 0
-        return GranuleSet(head), GranuleSet(rest)
+        if n >= self._size:
+            return self, GranuleSet.empty()
+        b = self._b
+        k, left = 0, n
+        while left > b[k + 1] - b[k]:
+            left -= b[k + 1] - b[k]
+            k += 2
+        cut = b[k] + left  # b[k] < cut <= b[k + 1]
+        if cut == b[k + 1]:
+            head, rest = b[: k + 2], b[k + 2 :]
+        else:
+            head, rest = b[: k + 1] + (cut,), (cut,) + b[k + 1 :]
+        return _new(head, n), _new(rest, self._size - n)
 
     def __repr__(self) -> str:
-        body = ",".join(repr(r) for r in self._ranges)
+        body = ",".join(["[%d,%d)"] * (len(self._b) // 2)) % self._b
         return f"GranuleSet({body})"
+
+
+def _new(bounds: tuple[int, ...], size: int) -> GranuleSet:
+    """Wrap canonical ``bounds`` holding ``size`` granules, with no checks."""
+    out = object.__new__(GranuleSet)
+    out._b = bounds
+    out._size = size
+    return out
+
+
+def _width(bounds: tuple[int, ...]) -> int:
+    """Granules covered by canonical ``bounds``: the stops minus the starts."""
+    return sum(bounds[1::2]) - sum(bounds[0::2])
+
+
+def _union_bounds(starts: list[int], stops: list[int]) -> tuple[int, ...]:
+    """Canonical boundaries of the union of the spans ``[starts[k], stops[k])``.
+
+    Every span must be non-empty; both lists are sorted in place, each on
+    its own.  That keeps the union: a point lies outside every span
+    exactly when as many spans have stopped as have started at or before
+    it, so after sorting a gap opens wherever ``starts[i + 1] >
+    stops[i]``, and a span starting where another stops merges with it.
+    The sorts, the gap test and the interleaving all run in C.
+    """
+    if not starts:
+        return ()
+    starts.sort()
+    stops.sort()
+    after = starts[1:]
+    gap = list(map(gt, after, stops))
+    inner = chain.from_iterable(zip(compress(stops, gap), compress(after, gap)))
+    return (starts[0], *inner, stops[-1])
+
+
+def _from_spans(starts: list[int], stops: list[int]) -> GranuleSet:
+    b = _union_bounds(starts, stops)
+    return _new(b, _width(b))
+
+
+def _clip(a: tuple[int, ...], b: tuple[int, ...], keep: int) -> GranuleSet:
+    """The parts of the ranges ``a`` inside (``keep=1``) or outside (``0``) ``b``.
+
+    An insertion point into ``b`` is odd exactly when it falls inside one
+    of its ranges, and each boundary of ``b`` strictly between a range's
+    start and stop flips that, so every range of ``a`` costs two binary
+    searches and one slice of ``b``.
+    """
+    out: list[int] = []
+    it = iter(a)
+    for s, e in zip(it, it):
+        i = bisect_right(b, s)
+        j = bisect_left(b, e, i)
+        if i % 2 == keep:
+            out.append(s)
+        out += b[i:j]
+        if j % 2 == keep:
+            out.append(e)
+    t = tuple(out)
+    return _new(t, _width(t))

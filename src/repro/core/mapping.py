@@ -33,11 +33,12 @@ Both are pure set-to-set functions on :class:`~repro.core.granule.GranuleSet`.
 from __future__ import annotations
 
 import enum
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
 
-from repro.core.granule import GranuleRange, GranuleSet
+from repro.core.granule import GranuleSet
 
 __all__ = [
     "MappingKind",
@@ -169,7 +170,7 @@ class IdentityMapping(EnablementMapping):
         within = completed & GranuleSet.universe(min(n_pred, n_succ))
         if n_succ > n_pred:
             # successor granules with no predecessor partner are free
-            within = within | GranuleSet((GranuleRange(n_pred, n_succ),))
+            within = within | GranuleSet.from_bounds((n_pred, n_succ))
         return within
 
     def required_for(self, successors, n_pred, n_succ, maps=None) -> GranuleSet:
@@ -249,21 +250,15 @@ class ReverseIndirectMapping(EnablementMapping):
             )
         return arr
 
-    def _completed_mask(self, completed: GranuleSet, n_pred: int) -> np.ndarray:
-        mask = np.zeros(n_pred, dtype=bool)
-        for r in completed.ranges:
-            mask[max(0, r.start) : min(n_pred, r.stop)] = True
-        return mask
-
     def enabled_by(self, completed, n_pred, n_succ, maps=None) -> GranuleSet:
         arr = self._map(maps, n_succ)
-        done = self._completed_mask(completed, n_pred)
+        done = _set_to_mask(completed, n_pred)
         enabled = done[arr].all(axis=0)
         return _mask_to_set(enabled)
 
     def required_for(self, successors, n_pred, n_succ, maps=None) -> GranuleSet:
         arr = self._map(maps, n_succ)
-        idx = np.fromiter((i for i in successors), dtype=np.intp, count=len(successors))
+        idx = np.fromiter(successors, dtype=np.intp, count=len(successors))
         if idx.size == 0:
             return GranuleSet.empty()
         needed = np.unique(arr[:, idx])
@@ -327,9 +322,7 @@ class ForwardIndirectMapping(EnablementMapping):
 
     def enabled_by(self, completed, n_pred, n_succ, maps=None) -> GranuleSet:
         arr = self._map(maps, n_pred)
-        done = np.zeros(n_pred, dtype=bool)
-        for r in completed.ranges:
-            done[max(0, r.start) : min(n_pred, r.stop)] = True
+        done = _set_to_mask(completed, n_pred)
         # successor granule i is blocked while any incomplete predecessor maps to it
         blocked = np.zeros(n_succ, dtype=bool)
         pending_targets = arr[:, ~done].ravel()
@@ -338,9 +331,7 @@ class ForwardIndirectMapping(EnablementMapping):
 
     def required_for(self, successors, n_pred, n_succ, maps=None) -> GranuleSet:
         arr = self._map(maps, n_pred)
-        wanted = np.zeros(n_succ, dtype=bool)
-        for r in successors.ranges:
-            wanted[max(0, r.start) : min(n_succ, r.stop)] = True
+        wanted = _set_to_mask(successors, n_succ)
         touches_wanted = (wanted[np.clip(arr, 0, n_succ - 1)] & (arr < n_succ)).any(axis=0)
         return GranuleSet.from_sorted_ids(np.nonzero(touches_wanted)[0])
 
@@ -348,8 +339,8 @@ class ForwardIndirectMapping(EnablementMapping):
         arr = self._map(maps, n_pred)
         group_of = np.full(n_succ, -1, dtype=np.int64)
         for gi, g in enumerate(groups):
-            for r in g.ranges:
-                group_of[max(0, r.start) : min(n_succ, r.stop)] = gi
+            for s, e in g.spans():
+                group_of[max(0, s) : min(n_succ, e)] = gi
         # a predecessor belongs to every group one of its targets lands in
         hit = group_of[np.clip(arr, 0, n_succ - 1)]
         hit = np.where(arr < n_succ, hit, -1)
@@ -413,9 +404,7 @@ class SeamMapping(EnablementMapping):
         return cls(offsets)
 
     def enabled_by(self, completed, n_pred, n_succ, maps=None) -> GranuleSet:
-        done = np.zeros(n_pred, dtype=bool)
-        for r in completed.ranges:
-            done[max(0, r.start) : min(n_pred, r.stop)] = True
+        done = _set_to_mask(completed, n_pred)
         enabled = np.ones(n_succ, dtype=bool)
         idx = np.arange(n_succ)
         for o in self.offsets:
@@ -451,29 +440,39 @@ class SeamMapping(EnablementMapping):
         return f"SeamMapping(offsets={self.offsets})"
 
 
+def _set_to_mask(granules: GranuleSet, n: int) -> np.ndarray:
+    """Boolean mask over ``[0, n)`` of the granules in ``granules``."""
+    mask = np.zeros(n, dtype=bool)
+    for s, e in granules.spans():
+        mask[max(0, s) : min(n, e)] = True
+    return mask
+
+
 def _mask_to_set(mask: np.ndarray) -> GranuleSet:
     """Convert a boolean granule mask to a :class:`GranuleSet` of ranges."""
-    if not mask.any():
-        return GranuleSet.empty()
     padded = np.concatenate(([False], mask, [False]))
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    starts, stops = edges[0::2], edges[1::2]
-    return GranuleSet._from_normalized(
-        tuple(GranuleRange(int(s), int(e)) for s, e in zip(starts, stops))
-    )
+    # the mask flips at every range start and stop: these are the bounds
+    return GranuleSet.from_bounds(np.flatnonzero(padded[1:] != padded[:-1]).tolist())
 
 
 def _group_index_arrays(groups: list[GranuleSet]) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten subset groups to parallel (successor index, group id) arrays."""
-    idx_parts: list[np.ndarray] = []
-    gid_parts: list[np.ndarray] = []
-    for gi, g in enumerate(groups):
-        for r in g.ranges:
-            idx_parts.append(np.arange(r.start, r.stop, dtype=np.int64))
-            gid_parts.append(np.full(r.stop - r.start, gi, dtype=np.int64))
-    if not idx_parts:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(idx_parts), np.concatenate(gid_parts)
+    """Flatten subset groups to parallel (granule index, group id) arrays.
+
+    Indices come out group by group, ascending within each group.  Every
+    group's boundary tuple goes into one array in a single
+    :func:`numpy.fromiter` pass; the ranges expand to granules in numpy.
+    """
+    bounds = [g.bounds for g in groups]
+    n_bounds = np.fromiter(map(len, bounds), dtype=np.int64, count=len(bounds))
+    flat = np.fromiter(chain.from_iterable(bounds), dtype=np.int64, count=int(n_bounds.sum()))
+    starts, stops = flat[0::2], flat[1::2]
+    lens = stops - starts
+    total = int(lens.sum())
+    # position of each granule within its range, plus the range's start
+    offset = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
+    idx = np.repeat(starts, lens) + offset
+    range_gids = np.repeat(np.arange(len(groups), dtype=np.int64), n_bounds // 2)
+    return idx, np.repeat(range_gids, lens)
 
 
 def _sets_from_group_keys(keys: np.ndarray, n_groups: int, n_pred: int) -> list[GranuleSet]:
@@ -481,8 +480,8 @@ def _sets_from_group_keys(keys: np.ndarray, n_groups: int, n_pred: int) -> list[
 
     One numpy pass finds maximal runs of consecutive predecessors within a
     group (breaking runs at group boundaries, which can also differ by one
-    in key space), then each group's runs slice straight into a canonical
-    :class:`GranuleSet`.
+    in key space) and interleaves their starts and stops into one bounds
+    array; each group's slice of it is that group's canonical boundaries.
     """
     if keys.size == 0:
         return [GranuleSet.empty() for _ in range(n_groups)]
@@ -493,19 +492,8 @@ def _sets_from_group_keys(keys: np.ndarray, n_groups: int, n_pred: int) -> list[
     breaks = np.flatnonzero(~(diff_one & same_gid))
     start_idx = np.concatenate(([0], breaks + 1))
     stop_idx = np.concatenate((breaks, [keys.size - 1]))
-    run_gid = gids[start_idx]
-    run_start = preds[start_idx]
-    run_stop = preds[stop_idx] + 1
-    bounds = np.searchsorted(run_gid, np.arange(n_groups + 1))
-    out: list[GranuleSet] = []
-    for g in range(n_groups):
-        lo, hi = int(bounds[g]), int(bounds[g + 1])
-        out.append(
-            GranuleSet._from_normalized(
-                tuple(
-                    GranuleRange(int(s), int(e))
-                    for s, e in zip(run_start[lo:hi], run_stop[lo:hi])
-                )
-            )
-        )
-    return out
+    bounds = np.empty(2 * start_idx.size, dtype=np.int64)
+    bounds[0::2] = preds[start_idx]
+    bounds[1::2] = preds[stop_idx] + 1
+    cuts = (2 * np.searchsorted(gids[start_idx], np.arange(n_groups + 1))).tolist()
+    return [GranuleSet.from_bounds(bounds[lo:hi].tolist()) for lo, hi in zip(cuts, cuts[1:])]

@@ -535,20 +535,28 @@ class ExecutiveSimulation:
                 )
         for stream in self.streams:
             self._initiate(stream.runs[0])
-        self.sim.run(max_events=max_events)
-        self._finished = True
-        for ev in self._fault_events:
-            ev.cancel()
-        if self.failure_report is not None:
-            raise PhaseAbortError(self.failure_report)
-        for stream in self.streams:
-            if not stream.complete:
-                incomplete = [r.spec.name for r in stream.runs if not r.complete]
-                raise RuntimeError(
-                    f"simulation drained with incomplete phases in stream "
-                    f"{stream.index}: {incomplete}"
-                )
-        return self._result()
+        try:
+            self.sim.run(max_events=max_events)
+            self._finished = True
+            for ev in self._fault_events:
+                ev.cancel()
+            if self.failure_report is not None:
+                raise PhaseAbortError(self.failure_report)
+            for stream in self.streams:
+                if not stream.complete:
+                    incomplete = [r.spec.name for r in stream.runs if not r.complete]
+                    raise RuntimeError(
+                        f"simulation drained with incomplete phases in stream "
+                        f"{stream.index}: {incomplete}"
+                    )
+            return self._result()
+        finally:
+            # the hot loop and this simulation point at each other, so a
+            # finished simulation is cyclic garbage that lives until a full
+            # collection; its enablement engines (composite maps, CSR
+            # index) are by far its largest part, so free them now
+            for run in self.runs:
+                run.engine_to_next = None
 
     def _result(self) -> RunResult:
         stream_stats = [
@@ -1028,7 +1036,7 @@ class ExecutiveSimulation:
             reason=reason,
             time=self.sim.now,
             missing_granules=len(missing),
-            missing_ranges=tuple((r.start, r.stop) for r in missing.ranges),
+            missing_ranges=tuple(missing.spans()),
             retries=self.retries,
             reassignments=self.reassignments,
             processor_failures=self.processor_failures,

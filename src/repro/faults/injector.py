@@ -11,6 +11,8 @@ byte-identical on resubmission.
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 from repro.faults.plan import FaultPlan
 from repro.sim.rng import RngStreams
 
@@ -26,9 +28,9 @@ class FaultInjector:
         self._transients = plan.transients
         self._stragglers = plan.stragglers
         self._kills = {k.worker: k for k in plan.thread_kills}
-        self._sweep_kills = {k.replication: k for k in plan.sweep_kills}
-        self._sweep_hangs = {h.replication: h for h in plan.sweep_hangs}
-        self._sweep_slows = {s.replication: s for s in plan.sweep_slows}
+        self._sweep_kills = _by_unit(plan.sweep_kills)
+        self._sweep_hangs = _by_unit(plan.sweep_hangs)
+        self._sweep_slows = _by_unit(plan.sweep_slows)
         #: Hot-path guards: callers skip per-task queries entirely when the
         #: plan carries no fault of the relevant kind, keeping an armed-but-
         #: empty plan within the fault-overhead benchmark's budget.
@@ -86,3 +88,24 @@ class FaultInjector:
         """Injected delay in seconds for this replication attempt (0 = none)."""
         slow = self._sweep_slows.get(replication)
         return slow.delay_seconds if slow is not None and attempt == 0 else 0.0
+
+
+def _by_unit(faults) -> dict:
+    """Sweep faults of one kind keyed by the unit they target.
+
+    Several faults on one unit (a CLI fault flag on a unit the chaos plan
+    also draws, say) merge instead of the last one winning: every field
+    takes the largest value, which means the most attempts, the longest
+    delay, and ``freeze_heartbeat`` if any of them sets it.
+    """
+    merged: dict = {}
+    for fault in faults:
+        prev = merged.get(fault.replication)
+        if prev is not None:
+            fault = replace(fault, **{
+                f.name: max(getattr(prev, f.name), getattr(fault, f.name))
+                for f in fields(fault)
+                if f.name != "replication"
+            })
+        merged[fault.replication] = fault
+    return merged

@@ -45,6 +45,8 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any
 
+from repro.sweep.supervise import _kill_executor_workers
+
 __all__ = [
     "WarmPool",
     "CostModel",
@@ -186,7 +188,7 @@ class WarmPool:
             if ex is not None and getattr(ex, "_broken", False):
                 # a worker died idle between sweeps; don't hand out a
                 # pool that will refuse every submit
-                ex.shutdown(wait=False, cancel_futures=True)
+                _drop_executor(ex)
                 ex = self._executor = None
             if ex is None or workers > self._max_workers:
                 if ex is not None:
@@ -207,7 +209,7 @@ class WarmPool:
         builds a fresh one (the salvage driver's recovery hook)."""
         with self._lock:
             if self._executor is not None:
-                self._executor.shutdown(wait=False, cancel_futures=True)
+                _drop_executor(self._executor)
                 self._executor = None
 
     def shutdown(self) -> None:
@@ -220,6 +222,21 @@ class WarmPool:
             if self._heartbeat_dir is not None:
                 shutil.rmtree(self._heartbeat_dir, ignore_errors=True)
                 self._heartbeat_dir = None
+
+
+def _drop_executor(executor: ProcessPoolExecutor) -> None:
+    """Abandon an executor: kill its workers, then shut down without waiting.
+
+    When a worker dies, the executor's manager thread terminates the
+    workers it knows of and then joins them all.  A worker that
+    ``submit()`` spawns on the calling thread in between can be joined
+    without ever being terminated: it stays blocked reading the call
+    queue, and interpreter exit, which joins the manager thread, waits
+    on it forever.  A broken or dropped executor spawns no more workers,
+    so killing every one it holds first leaves nothing to wait on.
+    """
+    _kill_executor_workers(executor)
+    executor.shutdown(wait=False, cancel_futures=True)
 
 
 class CostModel:

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.obs.events import EventBus, PoolTaskCompleted
-from repro.sweep.pool import WarmPool, _worker_init, cost_model, warm_pool
+from repro.sweep.pool import WarmPool, _drop_executor, _worker_init, cost_model, warm_pool
 from repro.sweep.supervise import (
     SupervisionPolicy,
     Supervisor,
@@ -849,7 +849,7 @@ def run_pool_tasks(
                     break
             finally:
                 if own is not None:  # a no-op after the clean join above
-                    own.shutdown(wait=False, cancel_futures=True)
+                    _drop_executor(own)
             pending = [k for k in keys if k not in done]
     if supervisor is not None:
         supervisor.reap_shm()

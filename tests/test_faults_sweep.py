@@ -14,7 +14,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.faults import FaultPlan, SweepWorkerKill
+from repro.faults import FaultInjector, FaultPlan, SweepWorkerHang, SweepWorkerKill, SweepWorkerSlow
+from repro.faults.plan import chaos_plan
 from repro.sweep import SweepSpec, run_sweep
 
 SPEC = SweepSpec("identity", replications=4, seed=11, sim_workers=4)
@@ -53,6 +54,21 @@ class TestWorkerKills:
         plan = FaultPlan(faults=(SweepWorkerKill(1),))
         with pytest.raises(RuntimeError, match="max_restarts"):
             run_sweep(SPEC, workers=2, fault_plan=plan, max_restarts=0)
+
+    def test_faults_on_one_unit_merge_instead_of_replacing(self):
+        # a fault declared next to a chaos plan that draws the same unit
+        # (chaos seed 1 slows unit 1 by 0.257 s and hangs unit 3 once):
+        # every field keeps its largest value
+        plan = FaultPlan(
+            faults=(SweepWorkerSlow(1, 5.0), SweepWorkerHang(3, attempts=10))
+            + chaos_plan(1, 4).faults
+        )
+        injector = FaultInjector(plan)
+        assert injector.slows_replication(1) == 5.0
+        for attempt in range(1, 10):
+            assert injector.hangs_replication(3, attempt) is not None
+        assert injector.hangs_replication(3, 10) is None
+        assert injector.hangs_replication(3, 0).freeze_heartbeat
 
 
 class TestManifest:

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.granule import GranuleRange, GranuleSet
+from repro.executive import run_program
+from repro.sweep import build_workload
 
 
 # ---------------------------------------------------------------- GranuleRange
@@ -72,6 +74,8 @@ class TestGranuleSet:
     def test_normalization_merges_adjacent_and_overlapping(self):
         s = GranuleSet.from_ranges([(0, 3), (3, 5), (4, 8), (10, 12)])
         assert s.ranges == (GranuleRange(0, 8), GranuleRange(10, 12))
+        with pytest.raises(ValueError):
+            GranuleSet.from_ranges([(5, 3)])
 
     def test_from_ids(self):
         s = GranuleSet.from_ids([5, 1, 2, 3, 9])
@@ -82,6 +86,8 @@ class TestGranuleSet:
         assert len(GranuleSet.universe(7)) == 7
         assert not GranuleSet.empty()
         assert GranuleSet.universe(0) == GranuleSet.empty()
+        with pytest.raises(ValueError):
+            GranuleSet.universe(-1)
 
     def test_contains_binary_search(self):
         s = GranuleSet.from_ranges([(0, 5), (100, 105), (1000, 1001)])
@@ -169,8 +175,8 @@ ids_strategy = st.lists(st.integers(min_value=0, max_value=200), max_size=60)
 
 
 @settings(max_examples=200, deadline=None)
-@given(ids_strategy, ids_strategy)
-def test_set_algebra_matches_python_sets(a_ids, b_ids):
+@given(ids_strategy, ids_strategy, st.integers(min_value=0, max_value=80))
+def test_set_algebra_matches_python_sets(a_ids, b_ids, k):
     """GranuleSet algebra agrees with frozenset semantics."""
     a, b = GranuleSet.from_ids(a_ids), GranuleSet.from_ids(b_ids)
     sa, sb = set(a_ids), set(b_ids)
@@ -180,6 +186,20 @@ def test_set_algebra_matches_python_sets(a_ids, b_ids):
     assert a.issubset(b) == sa.issubset(sb)
     assert a.isdisjoint(b) == sa.isdisjoint(sb)
     assert len(a) == len(sa)
+    # every result's cached size and membership test agree with the model
+    ordered = sorted(sa)
+    results = [
+        (a | b, sa | sb),
+        (a & b, sa & sb),
+        (a - b, sa - sb),
+        (a.take(k)[0], set(ordered[:k])),
+        (a.take(k)[1], set(ordered[k:])),
+    ]
+    probes = {-1, 0, 100, 200, 201} | {i + d for i in a_ids[:4] + b_ids[:4] for d in (-1, 0, 1)}
+    for got, model in results:
+        assert len(got) == len(model)
+        for g in probes:
+            assert (g in got) == (g in model)
 
 
 @settings(max_examples=200, deadline=None)
@@ -212,3 +232,27 @@ def test_complement_involution(ids, n):
     s = GranuleSet.from_ids(i for i in ids if i < n)
     assert s.complement(n).complement(n) == s
     assert len(s) + len(s.complement(n)) == n
+
+
+@pytest.mark.parametrize(
+    "workload, params",
+    [
+        ("identity", {"n": 256}),
+        ("reverse-indirect", {"n": 256, "fan_in": 2}),
+        ("casper", {"granule_scale": 0.1}),
+    ],
+)
+def test_simulation_builds_no_granule_ranges(monkeypatch, workload, params):
+    """Simulation works on boundary tuples; ranges exist only for readers."""
+    built: list[tuple[int, int]] = []
+    post_init = GranuleRange.__post_init__
+
+    def counting(self):
+        built.append((self.start, self.stop))
+        post_init(self)
+
+    monkeypatch.setattr(GranuleRange, "__post_init__", counting)
+    assert GranuleSet.universe(3).ranges == (GranuleRange(0, 3),) and built, "patch inactive"
+    built.clear()
+    run_program(build_workload(workload, params), 4, seed=0)
+    assert built == []

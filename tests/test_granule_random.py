@@ -2,11 +2,11 @@
 
 Every operator is checked against the obvious ``set[int]`` model over
 random interval soups, including the adjacency-merge edges the
-two-pointer ``__or__`` and ``union_all`` fast paths must preserve
+``__or__`` and ``union_all`` fast paths must preserve
 (``[0,2) | [2,4)`` is the single range ``[0,4)``, never two touching
 ranges).  The canonical-form invariant — sorted, disjoint, non-adjacent,
 non-empty ranges — is re-asserted after every operation because the fast
-paths construct results through ``_from_normalized``, which skips the
+paths build their results' boundary tuples directly, without the
 normalizing constructor.
 """
 

@@ -9,11 +9,15 @@ raises utilization while stretching per-job wall clock.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.enablement import EnablementEngine
 from repro.core.granule import GranuleSet
 from repro.core.mapping import (
     ForwardIndirectMapping,
@@ -29,6 +33,7 @@ from repro.core.phase import ConstantCost, PhaseProgram, PhaseSpec, SerialAction
 from repro.executive import ExecutiveCosts, ExecutiveSimulation, TaskSizer, run_program
 from repro.sim.events import EventKind
 from repro.sim.machine import ExecutivePlacement
+from repro.sweep import build_workload
 from repro.workloads.generators import mapping_of_kind, synthetic_chain
 from tests.conftest import two_phase_program
 
@@ -388,6 +393,27 @@ class TestRundownStats:
                         config=OverlapConfig.barrier(), costs=small_costs, sizer=sizer)
         # 64 granules / 4 per task = 16 tasks per phase
         assert r.phase_stats[0].tasks == 16
+
+
+def test_run_releases_enablement_engines(monkeypatch):
+    # the hot loop and the simulation point at each other, so only a full
+    # collection would free a finished run; its engines must not wait
+    engines: list[weakref.ref] = []
+    init = EnablementEngine.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        engines.append(weakref.ref(self))
+
+    monkeypatch.setattr(EnablementEngine, "__init__", recording)
+    program = build_workload("reverse-indirect", {"n": 256, "fan_in": 2})
+    gc.disable()
+    try:
+        run_program(program, 4, seed=0)
+        assert engines, "the overlapped link must build an engine"
+        assert [ref for ref in engines if ref() is not None] == []
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------- properties

@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from glob import glob
 
 import pytest
@@ -50,6 +51,16 @@ def _alive(pid: int) -> bool:
         return False
     except PermissionError:  # pragma: no cover - exists but not ours
         return True
+    return True
+
+
+def _dead_soon(pid: int, timeout: float = 5.0) -> bool:
+    """Whether ``pid`` is gone within ``timeout`` (a kill lands asynchronously)."""
+    deadline = time.monotonic() + timeout
+    while _alive(pid):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
     return True
 
 
@@ -179,6 +190,14 @@ class TestByteIdentityAcrossDisciplines:
         # full salvage/rebuild/resubmit rounds through the same pool —
         # the storm must neither corrupt the report nor strand workers
         pool = WarmPool()
+        dropped: set[int] = set()
+        rebuild = pool.rebuild
+
+        def recording_rebuild():
+            dropped.update(pool.worker_pids())
+            rebuild()
+
+        pool.rebuild = recording_rebuild
         try:
             plan = FaultPlan(faults=(SweepWorkerKill(1, attempts=3),))
             before = set(pool.worker_pids())
@@ -188,12 +207,13 @@ class TestByteIdentityAcrossDisciplines:
             assert outcome.report.to_json() == reference_json()
             assert outcome.worker_restarts == 3
             assert pool.generation >= 4, "three storms = three rebuilds"
+            assert dropped, "every storm drops a generation of workers"
             survivors = set(pool.worker_pids())
             assert survivors, "the pool must end the storm rebuilt and serving"
         finally:
             pool.shutdown()
-        for pid in before | survivors:
-            assert not _alive(pid), f"worker {pid} leaked through the storm"
+        for pid in before | survivors | dropped:
+            assert _dead_soon(pid), f"worker {pid} leaked through the storm"
 
     def test_grid_chunked_through_warm_pool_identical(self):
         grid = GridSpec(
