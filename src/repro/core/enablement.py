@@ -33,8 +33,8 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.granule import GranuleSet
-from repro.core.mapping import EnablementMapping, _group_index_arrays
+from repro.core.granule import GranuleSet, group_index_arrays
+from repro.core.mapping import EnablementMapping
 
 __all__ = [
     "EnablementCounter",
@@ -412,7 +412,7 @@ class EnablementEngine:
         instead of scanning every enablement counter.
         """
         # expand every required range to (pred granule, group id) pairs
-        preds, entry_gids = _group_index_arrays(
+        preds, entry_gids = group_index_arrays(
             [counter.required for _, counter in self._counters]
         )
         order = np.argsort(preds, kind="stable")

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress, islice
-from operator import gt, lt
+from itertools import chain, compress
+from operator import gt
 from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["GranuleRange", "GranuleSet"]
+__all__ = ["GranuleRange", "GranuleSet", "group_index_arrays", "split_runs"]
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -106,8 +106,8 @@ class GranuleSet:
     7
     >>> 11 in s
     True
-    >>> s.bounds
-    (0, 5, 10, 12)
+    >>> list(s.spans())
+    [(0, 5), (10, 12)]
     >>> (s | GranuleSet.from_ranges([(5, 10)])).ranges
     ([0,12),)
     """
@@ -126,20 +126,15 @@ class GranuleSet:
 
     # ------------------------------------------------------------------ builders
     @classmethod
-    def from_bounds(cls, bounds: Iterable[int]) -> "GranuleSet":
-        """Wrap a flat boundary sequence ``(s0, e0, s1, e1, ...)`` as is.
+    def from_runs(cls, starts: np.ndarray, stops: np.ndarray) -> "GranuleSet":
+        """Build from numpy arrays of run starts and stops, as is.
 
-        The bulk constructor for code that finds its runs itself (for
-        example in numpy): the boundaries must already be canonical,
-        strictly increasing and of even length, as :attr:`bounds` returns
-        them, and nothing is merged.  Anything else raises ``ValueError``.
+        The runs ``[starts[k], stops[k])`` must already be what numpy finds
+        in a mask or a sorted id array: ascending, non-empty and separated
+        by gaps.  Nothing is merged.
         """
-        b = tuple(bounds)
-        if len(b) % 2 or not all(map(lt, b, islice(b, 1, None))):
-            raise ValueError(
-                f"granule bounds must be an even count of strictly increasing values: {b[:6]}"
-            )
-        return _new(b, _width(b))
+        (out,) = split_runs(starts, stops, (0, len(starts)))
+        return out
 
     @classmethod
     def from_sorted_ids(cls, ids) -> "GranuleSet":
@@ -153,10 +148,9 @@ class GranuleSet:
         if arr.size == 0:
             return cls.empty()
         breaks = np.flatnonzero(np.diff(arr) != 1)
-        bounds = np.empty(2 * breaks.size + 2, dtype=np.int64)
-        bounds[0::2] = arr[np.concatenate(([0], breaks + 1))]
-        bounds[1::2] = arr[np.concatenate((breaks, [arr.size - 1]))] + 1
-        return _new(tuple(bounds.tolist()), arr.size)
+        starts = arr[np.concatenate(([0], breaks + 1))]
+        stops = arr[np.concatenate((breaks, [arr.size - 1]))] + 1
+        return cls.from_runs(starts, stops)
 
     @classmethod
     def from_ranges(cls, pairs: Iterable[tuple[int, int]]) -> "GranuleSet":
@@ -189,11 +183,6 @@ class GranuleSet:
         return _new((0, n), n) if n else _new((), 0)
 
     # ------------------------------------------------------------------ queries
-    @property
-    def bounds(self) -> tuple[int, ...]:
-        """The flat boundary tuple ``(s0, e0, s1, e1, ...)``."""
-        return self._b
-
     def spans(self) -> Iterator[tuple[int, int]]:
         """The ranges as ``(start, stop)`` pairs, in order."""
         it = iter(self._b)
@@ -244,7 +233,9 @@ class GranuleSet:
         if not b:
             return self
         if len(a) == len(b) == 2 and a[0] <= b[1] and b[0] <= a[1]:
-            # two ranges that overlap or touch, the commonest union of all
+            # two ranges that overlap or touch: 99.9% of the unions in an
+            # identity rundown and 84% in a casper run, where skipping the
+            # general sort-and-scan shows end to end (docs/PERFORMANCE.md)
             lo, hi = min(a[0], b[0]), max(a[1], b[1])
             return _new((lo, hi), hi - lo)
         return _from_spans([*a[0::2], *b[0::2]], [*a[1::2], *b[1::2]])
@@ -311,6 +302,46 @@ class GranuleSet:
     def __repr__(self) -> str:
         body = ",".join(["[%d,%d)"] * (len(self._b) // 2)) % self._b
         return f"GranuleSet({body})"
+
+
+def split_runs(starts: np.ndarray, stops: np.ndarray, cuts) -> list[GranuleSet]:
+    """One set per group from runs listed group by group.
+
+    Group ``k`` owns the runs ``cuts[k]:cuts[k + 1]``, which must be
+    ascending, non-empty and separated by gaps, as for
+    :meth:`GranuleSet.from_runs`.  The starts and stops are interleaved
+    into one numpy array once; each group converts only its own slice to
+    Python ints.
+    """
+    bounds = np.empty(2 * len(starts), dtype=np.int64)
+    bounds[0::2] = starts
+    bounds[1::2] = stops
+    edges = (2 * np.asarray(cuts, dtype=np.int64)).tolist()
+    out: list[GranuleSet] = []
+    for lo, hi in zip(edges, edges[1:]):
+        b = tuple(bounds[lo:hi].tolist())
+        out.append(_new(b, _width(b)))
+    return out
+
+
+def group_index_arrays(groups: list[GranuleSet]) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten sets to parallel (granule index, group id) arrays.
+
+    Indices come out group by group, ascending within each group.  Every
+    set's boundaries go into one array in a single :func:`numpy.fromiter`
+    pass; the ranges expand to granules in numpy.
+    """
+    bounds = [g._b for g in groups]
+    n_bounds = np.fromiter(map(len, bounds), dtype=np.int64, count=len(bounds))
+    flat = np.fromiter(chain.from_iterable(bounds), dtype=np.int64, count=int(n_bounds.sum()))
+    starts, stops = flat[0::2], flat[1::2]
+    lens = stops - starts
+    total = int(lens.sum())
+    # position of each granule within its range, plus the range's start
+    offset = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
+    idx = np.repeat(starts, lens) + offset
+    range_gids = np.repeat(np.arange(len(groups), dtype=np.int64), n_bounds // 2)
+    return idx, np.repeat(range_gids, lens)
 
 
 def _new(bounds: tuple[int, ...], size: int) -> GranuleSet:

@@ -33,12 +33,11 @@ Both are pure set-to-set functions on :class:`~repro.core.granule.GranuleSet`.
 from __future__ import annotations
 
 import enum
-from itertools import chain
 from typing import Mapping
 
 import numpy as np
 
-from repro.core.granule import GranuleSet
+from repro.core.granule import GranuleSet, group_index_arrays, split_runs
 
 __all__ = [
     "MappingKind",
@@ -170,7 +169,7 @@ class IdentityMapping(EnablementMapping):
         within = completed & GranuleSet.universe(min(n_pred, n_succ))
         if n_succ > n_pred:
             # successor granules with no predecessor partner are free
-            within = within | GranuleSet.from_bounds((n_pred, n_succ))
+            within = within | GranuleSet.from_ranges([(n_pred, n_succ)])
         return within
 
     def required_for(self, successors, n_pred, n_succ, maps=None) -> GranuleSet:
@@ -266,7 +265,7 @@ class ReverseIndirectMapping(EnablementMapping):
 
     def required_for_many(self, groups, n_pred, n_succ, maps=None) -> list[GranuleSet]:
         arr = self._map(maps, n_succ)
-        idx, gids = _group_index_arrays(groups)
+        idx, gids = group_index_arrays(groups)
         if idx.size == 0:
             return [GranuleSet.empty() for _ in groups]
         keys = np.unique(gids[np.newaxis, :] * np.int64(n_pred) + arr[:, idx])
@@ -425,7 +424,7 @@ class SeamMapping(EnablementMapping):
         return GranuleSet.from_ids(out)
 
     def required_for_many(self, groups, n_pred, n_succ, maps=None) -> list[GranuleSet]:
-        idx, gids = _group_index_arrays(groups)
+        idx, gids = group_index_arrays(groups)
         if idx.size == 0:
             return [GranuleSet.empty() for _ in groups]
         parts: list[np.ndarray] = []
@@ -451,28 +450,9 @@ def _set_to_mask(granules: GranuleSet, n: int) -> np.ndarray:
 def _mask_to_set(mask: np.ndarray) -> GranuleSet:
     """Convert a boolean granule mask to a :class:`GranuleSet` of ranges."""
     padded = np.concatenate(([False], mask, [False]))
-    # the mask flips at every range start and stop: these are the bounds
-    return GranuleSet.from_bounds(np.flatnonzero(padded[1:] != padded[:-1]).tolist())
-
-
-def _group_index_arrays(groups: list[GranuleSet]) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten subset groups to parallel (granule index, group id) arrays.
-
-    Indices come out group by group, ascending within each group.  Every
-    group's boundary tuple goes into one array in a single
-    :func:`numpy.fromiter` pass; the ranges expand to granules in numpy.
-    """
-    bounds = [g.bounds for g in groups]
-    n_bounds = np.fromiter(map(len, bounds), dtype=np.int64, count=len(bounds))
-    flat = np.fromiter(chain.from_iterable(bounds), dtype=np.int64, count=int(n_bounds.sum()))
-    starts, stops = flat[0::2], flat[1::2]
-    lens = stops - starts
-    total = int(lens.sum())
-    # position of each granule within its range, plus the range's start
-    offset = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
-    idx = np.repeat(starts, lens) + offset
-    range_gids = np.repeat(np.arange(len(groups), dtype=np.int64), n_bounds // 2)
-    return idx, np.repeat(range_gids, lens)
+    # the mask flips at every run start and stop, alternately
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return GranuleSet.from_runs(edges[0::2], edges[1::2])
 
 
 def _sets_from_group_keys(keys: np.ndarray, n_groups: int, n_pred: int) -> list[GranuleSet]:
@@ -480,8 +460,7 @@ def _sets_from_group_keys(keys: np.ndarray, n_groups: int, n_pred: int) -> list[
 
     One numpy pass finds maximal runs of consecutive predecessors within a
     group (breaking runs at group boundaries, which can also differ by one
-    in key space) and interleaves their starts and stops into one bounds
-    array; each group's slice of it is that group's canonical boundaries.
+    in key space); :func:`split_runs` hands each group its runs.
     """
     if keys.size == 0:
         return [GranuleSet.empty() for _ in range(n_groups)]
@@ -492,8 +471,5 @@ def _sets_from_group_keys(keys: np.ndarray, n_groups: int, n_pred: int) -> list[
     breaks = np.flatnonzero(~(diff_one & same_gid))
     start_idx = np.concatenate(([0], breaks + 1))
     stop_idx = np.concatenate((breaks, [keys.size - 1]))
-    bounds = np.empty(2 * start_idx.size, dtype=np.int64)
-    bounds[0::2] = preds[start_idx]
-    bounds[1::2] = preds[stop_idx] + 1
-    cuts = (2 * np.searchsorted(gids[start_idx], np.arange(n_groups + 1))).tolist()
-    return [GranuleSet.from_bounds(bounds[lo:hi].tolist()) for lo, hi in zip(cuts, cuts[1:])]
+    cuts = np.searchsorted(gids[start_idx], np.arange(n_groups + 1))
+    return split_runs(preds[start_idx], preds[stop_idx] + 1, cuts)

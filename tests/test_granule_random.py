@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.granule import GranuleSet
+from repro.core.granule import GranuleSet, group_index_arrays, split_runs
 
 UNIVERSE = 120
 
@@ -95,6 +95,26 @@ def test_from_sorted_ids_matches_model(seed):
     s = GranuleSet.from_sorted_ids(ids)
     assert_matches_model(s, set(int(i) for i in ids))
     assert s == GranuleSet.from_ids(int(i) for i in ids)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_group_helpers_match_model(seed):
+    """``group_index_arrays`` lists every (group, granule) pair in order, and
+    ``split_runs`` rebuilds each group from its runs listed group by group."""
+    rng = np.random.default_rng(seed + 4000)
+    groups = [random_set(rng) for _ in range(int(rng.integers(0, 6)))]
+    idx, gids = group_index_arrays(groups)
+    want = [(g, i) for g, s in enumerate(groups) for i in s]
+    assert list(zip(gids.tolist(), idx.tolist())) == want
+
+    runs = np.array(
+        [(g, s, e) for g, grp in enumerate(groups) for s, e in grp.spans()], dtype=np.int64
+    ).reshape(-1, 3)
+    cuts = np.searchsorted(runs[:, 0], np.arange(len(groups) + 1))
+    rebuilt = split_runs(runs[:, 1], runs[:, 2], cuts)
+    assert rebuilt == groups
+    for got, grp in zip(rebuilt, groups):
+        assert_matches_model(got, set(grp))
 
 
 def test_adjacency_merge_edges():
