@@ -34,93 +34,47 @@ Quickstart
 True
 """
 
-from repro.core.access import (
-    AccessPattern,
-    AffineIndex,
-    AllIndex,
-    ArrayRef,
-    ConstIndex,
-    MappedIndex,
-)
-from repro.core.classifier import MappingCensus, classify_pair, classify_program
-from repro.core.enablement import CompositeGranuleMap, EnablementCounter, EnablementEngine
-from repro.core.granule import GranuleRange, GranuleSet
-from repro.core.mapping import (
-    EnablementMapping,
-    ForwardIndirectMapping,
-    IdentityMapping,
-    MappingKind,
-    NullMapping,
-    ReverseIndirectMapping,
-    SeamMapping,
-    UniversalMapping,
-)
-from repro.core.overlap import OverlapConfig, OverlapPolicy, SplitStrategy
-from repro.core.phase import (
-    ConstantCost,
-    PhaseLink,
-    PhaseProgram,
-    PhaseSpec,
-    SerialAction,
-)
-from repro.core.predicate import AccessConflictPredicate, overlap_is_safe
-from repro.executive import (
-    ExecutiveCosts,
-    ExecutiveSimulation,
-    Extensions,
-    RunResult,
-    TaskSizer,
-    run_program,
-)
-from repro.metrics import census_table, render_gantt, rundown_reports
-from repro.lang import compile_program
-from repro.sim.machine import ExecutivePlacement
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AccessPattern",
-    "AffineIndex",
-    "AllIndex",
-    "ArrayRef",
-    "ConstIndex",
-    "MappedIndex",
-    "MappingCensus",
-    "classify_pair",
-    "classify_program",
-    "CompositeGranuleMap",
-    "EnablementCounter",
-    "EnablementEngine",
-    "GranuleRange",
-    "GranuleSet",
-    "EnablementMapping",
-    "ForwardIndirectMapping",
-    "IdentityMapping",
-    "MappingKind",
-    "NullMapping",
-    "ReverseIndirectMapping",
-    "SeamMapping",
-    "UniversalMapping",
-    "OverlapConfig",
-    "OverlapPolicy",
-    "SplitStrategy",
-    "ConstantCost",
-    "PhaseLink",
-    "PhaseProgram",
-    "PhaseSpec",
-    "SerialAction",
-    "AccessConflictPredicate",
-    "overlap_is_safe",
-    "ExecutiveCosts",
-    "ExecutiveSimulation",
-    "Extensions",
-    "census_table",
-    "render_gantt",
-    "rundown_reports",
-    "RunResult",
-    "TaskSizer",
-    "run_program",
-    "compile_program",
-    "ExecutivePlacement",
-    "__version__",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".core.access": (
+            "AccessPattern",
+            "AffineIndex",
+            "AllIndex",
+            "ArrayRef",
+            "ConstIndex",
+            "MappedIndex",
+        ),
+        ".core.classifier": ("MappingCensus", "classify_pair", "classify_program"),
+        ".core.enablement": ("CompositeGranuleMap", "EnablementCounter", "EnablementEngine"),
+        ".core.granule": ("GranuleRange", "GranuleSet"),
+        ".core.mapping": (
+            "EnablementMapping",
+            "ForwardIndirectMapping",
+            "IdentityMapping",
+            "MappingKind",
+            "NullMapping",
+            "ReverseIndirectMapping",
+            "SeamMapping",
+            "UniversalMapping",
+        ),
+        ".core.overlap": ("OverlapConfig", "OverlapPolicy", "SplitStrategy"),
+        ".core.phase": ("ConstantCost", "PhaseLink", "PhaseProgram", "PhaseSpec", "SerialAction"),
+        ".core.predicate": ("AccessConflictPredicate", "overlap_is_safe"),
+        ".executive.costs": ("ExecutiveCosts",),
+        ".executive.scheduler": ("ExecutiveSimulation", "RunResult", "run_program"),
+        ".executive.extensions": ("Extensions",),
+        ".executive.splitting": ("TaskSizer",),
+        ".metrics.report": ("census_table",),
+        ".metrics.gantt": ("render_gantt",),
+        ".metrics.rundown": ("rundown_reports",),
+        ".lang.compiler": ("compile_program",),
+        ".sim.machine": ("ExecutivePlacement",),
+    },
+)
+
+__all__ = [*_EXPORTS, "__version__"]

@@ -6,28 +6,24 @@ the management-cycle feasibility condition) and give the simulator
 independent cross-checks.
 """
 
-from repro.analysis.models import (
-    LeftoverWave,
-    leftover_wave,
-    checkerboard_phase_computations,
-    barrier_makespan_uniform,
-    overlap_makespan_uniform,
-    rundown_idle_uniform,
-    min_tasks_per_processor,
-    management_cycle_feasible,
-    executive_bound_makespan,
-    exponential_wave_idle,
+from repro._lazy import lazy_exports
+
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".models": (
+            "LeftoverWave",
+            "leftover_wave",
+            "checkerboard_phase_computations",
+            "barrier_makespan_uniform",
+            "overlap_makespan_uniform",
+            "rundown_idle_uniform",
+            "min_tasks_per_processor",
+            "management_cycle_feasible",
+            "executive_bound_makespan",
+            "exponential_wave_idle",
+        ),
+    },
 )
 
-__all__ = [
-    "LeftoverWave",
-    "leftover_wave",
-    "checkerboard_phase_computations",
-    "barrier_makespan_uniform",
-    "overlap_makespan_uniform",
-    "rundown_idle_uniform",
-    "min_tasks_per_processor",
-    "management_cycle_feasible",
-    "executive_bound_makespan",
-    "exponential_wave_idle",
-]
+__all__ = list(_EXPORTS)

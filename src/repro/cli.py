@@ -45,13 +45,10 @@ import os
 import sys
 from typing import Sequence
 
-from repro.analysis import leftover_wave
-from repro.core.classifier import classify_program
-from repro.core.overlap import OverlapConfig
-from repro.executive import ExecutiveCosts, Extensions, TaskSizer, run_program
-from repro.lang import LangError, compile_program
-from repro.metrics import census_table, render_gantt, rundown_reports
-from repro.sim.machine import ExecutivePlacement
+# Each handler imports what it runs, so building the parser (and
+# `repro --help`) loads neither numpy nor the simulator: the workload
+# registry behind the `choices` lists is numpy-free.
+from repro.workloads.registry import build_workload, workload_names
 
 __all__ = ["main", "build_parser"]
 
@@ -106,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", help="run a replication fan of a workload across host processes"
     )
-    p_sweep.add_argument("workload", choices=_workload_choices())
+    p_sweep.add_argument("workload", choices=workload_names())
     p_sweep.add_argument("--replications", type=int, default=4, help="independent runs")
     p_sweep.add_argument("--seed", type=int, default=0, help="sweep-level master seed")
     p_sweep.add_argument(
@@ -384,7 +381,7 @@ def _add_run_options(parser: argparse.ArgumentParser, workload_optional: bool = 
     parser.add_argument(
         "workload",
         nargs="?" if workload_optional else None,
-        choices=_workload_choices(),
+        choices=workload_names(),
     )
     parser.add_argument("--workers", type=int, default=8)
     parser.add_argument("--barrier", action="store_true", help="strict phase barriers")
@@ -421,19 +418,9 @@ def _add_run_options(parser: argparse.ArgumentParser, workload_optional: bool = 
     )
 
 
-def _workload_choices() -> list[str]:
-    from repro.sweep.runner import workload_names
-
-    return workload_names()
-
-
-def _workload(name: str):
-    from repro.sweep import build_workload
-
-    return build_workload(name)
-
-
 def _cmd_census(args, out) -> int:
+    from repro.core.classifier import classify_program
+    from repro.metrics import census_table
     from repro.workloads.casper import casper_suite
 
     census = classify_program(casper_suite(), wrap=True)
@@ -442,6 +429,8 @@ def _cmd_census(args, out) -> int:
 
 
 def _cmd_leftover(args, out) -> int:
+    from repro.analysis import leftover_wave
+
     w = leftover_wave(args.computations, args.processors)
     print(f"computations per processor : {w.per_processor}", file=out)
     print(f"leftover computations      : {w.leftover}", file=out)
@@ -485,7 +474,11 @@ def _run_workload(args, telemetry=None):
     Returns ``(result, program)`` — the program so post-run validators
     (``--sanitize``) can replay the trace against the declared order.
     """
-    program = _workload(args.workload)
+    from repro.core.overlap import OverlapConfig
+    from repro.executive import ExecutiveCosts, Extensions, TaskSizer, run_program
+    from repro.sim.machine import ExecutivePlacement
+
+    program = build_workload(args.workload)
     config = OverlapConfig.barrier() if args.barrier else OverlapConfig()
     placement = (
         ExecutivePlacement.SHARED if args.shared_executive else ExecutivePlacement.DEDICATED
@@ -532,6 +525,7 @@ def _sanitize_and_report(result, program, out) -> int:
 
 def _cmd_simulate(args, out) -> int:
     from repro.faults import PhaseAbortError
+    from repro.metrics import rundown_reports
 
     try:
         result, program = _run_workload(args)
@@ -552,6 +546,8 @@ def _cmd_simulate(args, out) -> int:
         mean_ru = sum(r.utilization for r in reports) / len(reports)
         print(f"mean rundown-window utilization: {mean_ru:.1%}", file=out)
     if args.gantt:
+        from repro.metrics import render_gantt
+
         print(render_gantt(result.trace, width=args.gantt_width), file=out)
     if args.save:
         from repro.sim.persist import save_result
@@ -1171,6 +1167,7 @@ def _cmd_profile(args, out) -> int:
 
 
 def _cmd_gantt(args, out) -> int:
+    from repro.metrics import render_gantt
     from repro.sim.persist import trace_from_dict
 
     try:
@@ -1220,6 +1217,8 @@ def _parse_bindings(bindings):
 
 
 def _cmd_compile(args, out) -> int:
+    from repro.lang import LangError, compile_program
+
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             source = fh.read()
@@ -1244,6 +1243,8 @@ def _cmd_compile(args, out) -> int:
         if defaults:
             program.map_generators.update(defaults)
             print(f"maps     : random default generators for {sorted(defaults)}", file=out)
+        from repro.executive import run_program
+
         result = run_program(program, args.workers)
         print(f"makespan : {result.makespan:.2f}", file=out)
         print(f"util     : {result.utilization:.1%}", file=out)
@@ -1280,6 +1281,7 @@ def _lint_check_run(args, program_file, out) -> int:
     """``lint --check-run RUN.json FILE.pax``: sanitize a saved run."""
     import json
 
+    from repro.lang import LangError, compile_program
     from repro.lint import sanitize_saved
 
     try:

@@ -20,62 +20,35 @@ Subpackages model the concepts of Jones (1986) directly:
 * :mod:`repro.core.overlap` — overlap policies and control strategies.
 """
 
-from repro.core.granule import GranuleRange, GranuleSet
-from repro.core.access import AccessPattern, AffineIndex, AllIndex, MappedIndex, ArrayRef
-from repro.core.phase import PhaseSpec, PhaseProgram, PhaseLink, SerialAction
-from repro.core.mapping import (
-    MappingKind,
-    EnablementMapping,
-    UniversalMapping,
-    IdentityMapping,
-    NullMapping,
-    ReverseIndirectMapping,
-    ForwardIndirectMapping,
-    SeamMapping,
-)
-from repro.core.predicate import ParallelPredicate, AccessConflictPredicate, overlap_is_safe
-from repro.core.classifier import classify_pair, classify_program, MappingCensus
-from repro.core.enablement import (
-    CompositeGranuleMap,
-    CompositeMapCache,
-    EnablementCounter,
-    EnablementEngine,
-    maps_fingerprint,
-)
-from repro.core.overlap import OverlapPolicy, SplitStrategy, OverlapConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GranuleRange",
-    "GranuleSet",
-    "AccessPattern",
-    "AffineIndex",
-    "AllIndex",
-    "MappedIndex",
-    "ArrayRef",
-    "PhaseSpec",
-    "PhaseProgram",
-    "PhaseLink",
-    "SerialAction",
-    "MappingKind",
-    "EnablementMapping",
-    "UniversalMapping",
-    "IdentityMapping",
-    "NullMapping",
-    "ReverseIndirectMapping",
-    "ForwardIndirectMapping",
-    "SeamMapping",
-    "ParallelPredicate",
-    "AccessConflictPredicate",
-    "overlap_is_safe",
-    "classify_pair",
-    "classify_program",
-    "MappingCensus",
-    "CompositeGranuleMap",
-    "CompositeMapCache",
-    "EnablementCounter",
-    "EnablementEngine",
-    "maps_fingerprint",
-    "OverlapPolicy",
-    "SplitStrategy",
-    "OverlapConfig",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".granule": ("GranuleRange", "GranuleSet"),
+        ".access": ("AccessPattern", "AffineIndex", "AllIndex", "MappedIndex", "ArrayRef"),
+        ".phase": ("PhaseSpec", "PhaseProgram", "PhaseLink", "SerialAction"),
+        ".mapping": (
+            "MappingKind",
+            "EnablementMapping",
+            "UniversalMapping",
+            "IdentityMapping",
+            "NullMapping",
+            "ReverseIndirectMapping",
+            "ForwardIndirectMapping",
+            "SeamMapping",
+        ),
+        ".predicate": ("ParallelPredicate", "AccessConflictPredicate", "overlap_is_safe"),
+        ".classifier": ("classify_pair", "classify_program", "MappingCensus"),
+        ".enablement": (
+            "CompositeGranuleMap",
+            "CompositeMapCache",
+            "EnablementCounter",
+            "EnablementEngine",
+            "maps_fingerprint",
+        ),
+        ".overlap": ("OverlapPolicy", "SplitStrategy", "OverlapConfig"),
+    },
+)
+
+__all__ = list(_EXPORTS)

@@ -19,30 +19,24 @@ the paper describes:
   :class:`~repro.core.overlap.OverlapConfig`.
 """
 
-from repro.executive.costs import ExecutiveCosts
-from repro.executive.descriptions import ComputationDescription, DescriptionState
-from repro.executive.extensions import Extensions
-from repro.executive.queues import ConflictQueue, WaitingComputationQueue
-from repro.executive.splitting import TaskSizer
-from repro.executive.scheduler import (
-    ExecutiveSimulation,
-    PhaseRunStats,
-    RunResult,
-    StreamStats,
-    run_program,
+from repro._lazy import lazy_exports
+
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".costs": ("ExecutiveCosts",),
+        ".extensions": ("Extensions",),
+        ".descriptions": ("ComputationDescription", "DescriptionState"),
+        ".queues": ("ConflictQueue", "WaitingComputationQueue"),
+        ".splitting": ("TaskSizer",),
+        ".scheduler": (
+            "ExecutiveSimulation",
+            "PhaseRunStats",
+            "RunResult",
+            "StreamStats",
+            "run_program",
+        ),
+    },
 )
 
-__all__ = [
-    "ExecutiveCosts",
-    "Extensions",
-    "ComputationDescription",
-    "DescriptionState",
-    "ConflictQueue",
-    "WaitingComputationQueue",
-    "TaskSizer",
-    "ExecutiveSimulation",
-    "PhaseRunStats",
-    "RunResult",
-    "StreamStats",
-    "run_program",
-]
+__all__ = list(_EXPORTS)

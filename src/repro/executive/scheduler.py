@@ -551,12 +551,17 @@ class ExecutiveSimulation:
                     )
             return self._result()
         finally:
-            # the hot loop and this simulation point at each other, so a
-            # finished simulation is cyclic garbage that lives until a full
-            # collection; its enablement engines (composite maps, CSR
-            # index) are by far its largest part, so free them now
+            # the hot loop, the machine's callbacks and this simulation
+            # point at each other; cut those links so a finished run is
+            # freed by reference counting instead of waiting for a full
+            # collection, and free its enablement engines (composite
+            # maps, CSR index) even if something else still holds it
             for run in self.runs:
                 run.engine_to_next = None
+            self._hot = None
+            self.machine.on_processor_idle = None
+            self.machine.on_task_lost = None
+            self._fault_events.clear()
 
     def _result(self) -> RunResult:
         stream_stats = [
@@ -915,31 +920,40 @@ class ExecutiveSimulation:
             return
         if self._watchdog_event is not None:
             return
+        self._watchdog_interval = self.recovery.watchdog_timeout
+        self._watchdog_event = self.sim.schedule_after(
+            self._watchdog_interval, self._watchdog_check
+        )
+
+    def _watchdog_check(self) -> None:
+        """One watchdog tick: recover a stalled run, then re-arm.
+
+        A method rather than a closure: a closure that re-schedules
+        itself refers to itself, and that cycle would keep the whole
+        finished simulation alive until a full collection.
+        """
+        self._watchdog_event = None
+        if all(s.complete_time is not None for s in self.streams):
+            return
         base = self.recovery.watchdog_timeout
-        state = {"interval": base}
-
-        def check() -> None:
-            self._watchdog_event = None
-            if all(s.complete_time is not None for s in self.streams):
+        stalled = next(
+            (
+                r
+                for r in self.runs
+                if r.initiated and not r.complete and self._is_stalled(r)
+            ),
+            None,
+        )
+        if stalled is not None:
+            self._watchdog_interval = base
+            self._handle_stall(stalled)
+            if self.failure_report is not None:
                 return
-            stalled = next(
-                (
-                    r
-                    for r in self.runs
-                    if r.initiated and not r.complete and self._is_stalled(r)
-                ),
-                None,
-            )
-            if stalled is not None:
-                state["interval"] = base
-                self._handle_stall(stalled)
-                if self.failure_report is not None:
-                    return
-            else:
-                state["interval"] = min(state["interval"] * 2.0, base * 16.0)
-            self._watchdog_event = self.sim.schedule_after(state["interval"], check)
-
-        self._watchdog_event = self.sim.schedule_after(base, check)
+        else:
+            self._watchdog_interval = min(self._watchdog_interval * 2.0, base * 16.0)
+        self._watchdog_event = self.sim.schedule_after(
+            self._watchdog_interval, self._watchdog_check
+        )
 
     def _is_stalled(self, run: _RunState) -> bool:
         """Can nothing in the system still complete this run?

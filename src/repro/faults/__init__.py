@@ -19,33 +19,26 @@ failure:
 See docs/RESILIENCE.md for the fault model and tuning guidance.
 """
 
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import (
-    FaultPlan,
-    ProcessorCrash,
-    RecoveryPolicy,
-    StragglerSlowdown,
-    SweepWorkerHang,
-    SweepWorkerKill,
-    SweepWorkerSlow,
-    TransientGranuleError,
-    WorkerThreadKill,
-    chaos_plan,
-)
-from repro.faults.report import PhaseAbortError, RundownFailureReport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FaultPlan",
-    "RecoveryPolicy",
-    "FaultInjector",
-    "ProcessorCrash",
-    "StragglerSlowdown",
-    "TransientGranuleError",
-    "WorkerThreadKill",
-    "SweepWorkerKill",
-    "SweepWorkerHang",
-    "SweepWorkerSlow",
-    "chaos_plan",
-    "RundownFailureReport",
-    "PhaseAbortError",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".plan": (
+            "FaultPlan",
+            "RecoveryPolicy",
+            "ProcessorCrash",
+            "StragglerSlowdown",
+            "TransientGranuleError",
+            "WorkerThreadKill",
+            "SweepWorkerKill",
+            "SweepWorkerHang",
+            "SweepWorkerSlow",
+            "chaos_plan",
+        ),
+        ".injector": ("FaultInjector",),
+        ".report": ("RundownFailureReport", "PhaseAbortError"),
+    },
+)
+
+__all__ = list(_EXPORTS)

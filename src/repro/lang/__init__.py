@@ -33,21 +33,17 @@ construct end to end:
 * :mod:`repro.lang.errors` — diagnostics with line numbers.
 """
 
-from repro.lang.errors import LangError, LexError, ParseError, VerificationError
-from repro.lang.lexer import Token, TokenKind, tokenize
-from repro.lang.parser import parse
-from repro.lang.semantics import verify
-from repro.lang.compiler import compile_program
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LangError",
-    "LexError",
-    "ParseError",
-    "VerificationError",
-    "Token",
-    "TokenKind",
-    "tokenize",
-    "parse",
-    "verify",
-    "compile_program",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".errors": ("LangError", "LexError", "ParseError", "VerificationError"),
+        ".lexer": ("Token", "TokenKind", "tokenize"),
+        ".parser": ("parse",),
+        ".semantics": ("verify",),
+        ".compiler": ("compile_program",),
+    },
+)
+
+__all__ = list(_EXPORTS)

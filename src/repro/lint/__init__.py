@@ -31,76 +31,48 @@ Entry points:
   CI-friendly exit codes (see ``docs/LINTING.md``).
 """
 
-from repro.lint.analyzer import (
-    DEFAULT_IDLE_THRESHOLD,
-    DEFAULT_PROCESSORS,
-    lint_file,
-    lint_source,
-)
-from repro.lint.crosscheck import AdmissionGuard, CrossCheckError
-from repro.lint.diagnostics import (
-    Diagnostic,
-    exit_code,
-    filter_suppressed,
-    render_json,
-    render_text,
-    source_suppressions,
-)
-from repro.lint.hb import (
-    GranuleRelation,
-    HappensBeforeEngine,
-    HBCycle,
-    HBEdge,
-    compose,
-    relation_of,
-)
-from repro.lint.rules import RULES, Rule, Severity, rule
-from repro.lint.sanitizer import (
-    ExecutedTask,
-    SanitizerFinding,
-    SanitizerReport,
-    sanitize_result,
-    sanitize_saved,
-    tasks_from_records,
-    tasks_from_spans,
-    tasks_from_trace,
-)
-from repro.lint.sarif import render_sarif, sarif_log
-from repro.lint.selfcheck import SELF_CHECK_CORPUS, run_self_check
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "lint_source",
-    "lint_file",
-    "DEFAULT_PROCESSORS",
-    "DEFAULT_IDLE_THRESHOLD",
-    "AdmissionGuard",
-    "CrossCheckError",
-    "Diagnostic",
-    "exit_code",
-    "filter_suppressed",
-    "render_json",
-    "render_text",
-    "render_sarif",
-    "sarif_log",
-    "source_suppressions",
-    "GranuleRelation",
-    "HappensBeforeEngine",
-    "HBCycle",
-    "HBEdge",
-    "compose",
-    "relation_of",
-    "ExecutedTask",
-    "SanitizerFinding",
-    "SanitizerReport",
-    "sanitize_result",
-    "sanitize_saved",
-    "tasks_from_records",
-    "tasks_from_spans",
-    "tasks_from_trace",
-    "RULES",
-    "Rule",
-    "Severity",
-    "rule",
-    "SELF_CHECK_CORPUS",
-    "run_self_check",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".analyzer": (
+            "lint_source",
+            "lint_file",
+            "DEFAULT_PROCESSORS",
+            "DEFAULT_IDLE_THRESHOLD",
+        ),
+        ".crosscheck": ("AdmissionGuard", "CrossCheckError"),
+        ".diagnostics": (
+            "Diagnostic",
+            "exit_code",
+            "filter_suppressed",
+            "render_json",
+            "render_text",
+            "source_suppressions",
+        ),
+        ".sarif": ("render_sarif", "sarif_log"),
+        ".hb": (
+            "GranuleRelation",
+            "HappensBeforeEngine",
+            "HBCycle",
+            "HBEdge",
+            "compose",
+            "relation_of",
+        ),
+        ".sanitizer": (
+            "ExecutedTask",
+            "SanitizerFinding",
+            "SanitizerReport",
+            "sanitize_result",
+            "sanitize_saved",
+            "tasks_from_records",
+            "tasks_from_spans",
+            "tasks_from_trace",
+        ),
+        ".rules": ("RULES", "Rule", "Severity", "rule"),
+        ".selfcheck": ("SELF_CHECK_CORPUS", "run_self_check"),
+    },
+)
+
+__all__ = list(_EXPORTS)

@@ -44,6 +44,7 @@ adjacency realizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.classifier import (
     PairClassification,
@@ -53,16 +54,13 @@ from repro.core.classifier import (
 )
 from repro.core.mapping import MappingKind
 from repro.core.phase import PhaseSpec
-from repro.lang.ast import (
-    Dispatch,
-    EnableClauseKind,
-    Goto,
-    IfGoto,
-    Program,
-    SerialStmt,
-)
-from repro.lang.compiler import access_pattern_of, mapping_from_option, select_option
-from repro.lang.semantics import VerifiedProgram
+
+# The trace sanitizer needs only the relation algebra; the PAX front end
+# (repro.lang) is imported by the static-analysis functions that walk a
+# parsed program, so replaying a run never loads it.
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.lang.ast import Dispatch, Program
+    from repro.lang.semantics import VerifiedProgram
 
 __all__ = [
     "MAX_OFFSETS",
@@ -94,6 +92,8 @@ _MAX_CYCLE_LEN = 8
 
 def reachable_statements(program: Program) -> set[int]:
     """Statement indexes reachable from the program entry."""
+    from repro.lang.ast import Goto, IfGoto
+
     labels = program.labels()
     statements = program.statements
     seen: set[int] = set()
@@ -122,6 +122,8 @@ def followers_with_serial(
     is reachable both with and without an intervening serial action, the
     serial-free path governs — that is the path overlap could occur on.
     """
+    from repro.lang.ast import Dispatch, Goto, IfGoto, SerialStmt
+
     labels = program.labels()
     statements = program.statements
     found: dict[str, bool] = {}
@@ -152,6 +154,8 @@ def declared_span(
     dispatch: Dispatch, succ: str, verified: VerifiedProgram
 ) -> tuple[int, int]:
     """Best source span for the declaration governing ``dispatch -> succ``."""
+    from repro.lang.ast import EnableClauseKind
+
     clause = dispatch.enable
     if clause is not None:
         if clause.kind in (EnableClauseKind.LIST, EnableClauseKind.BRANCH_INDEPENDENT):
@@ -374,6 +378,8 @@ class HappensBeforeEngine:
         self.program = program
         self.verified = verified
         if specs is None:
+            from repro.lang.compiler import access_pattern_of
+
             map_decls = program.map_decls()
             specs = {
                 name: PhaseSpec(
@@ -396,6 +402,9 @@ class HappensBeforeEngine:
     # ---------------------------------------------------------------- build
 
     def _build(self) -> None:
+        from repro.lang.ast import Dispatch, EnableClauseKind
+        from repro.lang.compiler import mapping_from_option, select_option
+
         program, verified = self.program, self.verified
         statements = program.statements
         reachable = reachable_statements(program)

@@ -5,39 +5,29 @@ Everything here is a pure function of a finished
 :class:`~repro.sim.trace.Trace`) — no simulation state is mutated.
 """
 
-from repro.metrics.utilization import (
-    mean_utilization,
-    utilization_between,
-    idle_processor_time,
-    busy_counts_at,
-)
-from repro.metrics.rundown import (
-    RundownReport,
-    merged_rundown_windows,
-    rundown_idle_by_processor,
-    rundown_report,
-    rundown_reports,
-    total_rundown_idle,
-)
-from repro.metrics.report import format_table, census_table, comparison_table
-from repro.metrics.gantt import render_gantt
-from repro.metrics.ascii_plot import bar_chart, line_plot
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "render_gantt",
-    "bar_chart",
-    "line_plot",
-    "mean_utilization",
-    "utilization_between",
-    "idle_processor_time",
-    "busy_counts_at",
-    "RundownReport",
-    "rundown_report",
-    "rundown_reports",
-    "total_rundown_idle",
-    "merged_rundown_windows",
-    "rundown_idle_by_processor",
-    "format_table",
-    "census_table",
-    "comparison_table",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".gantt": ("render_gantt",),
+        ".ascii_plot": ("bar_chart", "line_plot"),
+        ".utilization": (
+            "mean_utilization",
+            "utilization_between",
+            "idle_processor_time",
+            "busy_counts_at",
+        ),
+        ".rundown": (
+            "RundownReport",
+            "rundown_report",
+            "rundown_reports",
+            "total_rundown_idle",
+            "merged_rundown_windows",
+            "rundown_idle_by_processor",
+        ),
+        ".report": ("format_table", "census_table", "comparison_table"),
+    },
+)
+
+__all__ = list(_EXPORTS)

@@ -24,133 +24,76 @@ accept ``telemetry=None`` (the default) and skip every publish on that
 path, so un-instrumented runs pay nothing.  See docs/OBSERVABILITY.md.
 """
 
-from repro.obs.events import (
-    EventBus,
-    GranuleCompleted,
-    GranuleDispatched,
-    GranuleRetried,
-    MgmtActionDone,
-    NullEventBus,
-    ObsEvent,
-    OverlapAdmitted,
-    OverlapRejected,
-    PhaseEnded,
-    PhaseStalled,
-    PhaseStalledEvent,
-    PhaseStarted,
-    PoolDegraded,
-    PoolTaskCompleted,
-    PoolTaskHung,
-    ProcessorFailed,
-    QueueDepthChanged,
-    WorkerBusy,
-    WorkerIdle,
-)
-from repro.obs.export import append_snapshot_jsonl, prometheus_text
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    flush_counters,
-    merge_counters,
-    render_snapshot,
-    worker_registry,
-)
-from repro.obs.profile import (
-    PoolProfile,
-    PoolProfiler,
-    ProfileReport,
-    WaterfallReport,
-    analyze_run,
-    analyze_saved,
-    effective_workers_from_events,
-)
-from repro.obs.progress import (
-    ProgressReporter,
-    format_degraded,
-    format_progress,
-    format_stall,
-)
-from repro.obs.spans import (
-    Span,
-    SpanRecorder,
-    chrome_trace_events,
-    chrome_trace_from_trace,
-    export_chrome_trace,
-    export_jsonl,
-    instants_from_trace,
-    iter_spans_jsonl,
-    iter_trace_spans,
-    load_jsonl,
-    spans_from_trace,
-    write_chrome_trace_streaming,
-)
-from repro.obs.telemetry import (
-    Telemetry,
-    install_default_metrics,
-    record_grid_metrics,
-    record_rundown_metrics,
-    record_sweep_metrics,
+from repro._lazy import lazy_exports
+
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".events": (
+            "ObsEvent",
+            "PhaseStarted",
+            "PhaseEnded",
+            "GranuleDispatched",
+            "GranuleCompleted",
+            "OverlapAdmitted",
+            "OverlapRejected",
+            "WorkerIdle",
+            "WorkerBusy",
+            "QueueDepthChanged",
+            "MgmtActionDone",
+            "ProcessorFailed",
+            "GranuleRetried",
+            "PhaseStalled",
+            "PhaseStalledEvent",
+            "PoolTaskCompleted",
+            "PoolTaskHung",
+            "PoolDegraded",
+            "EventBus",
+            "NullEventBus",
+        ),
+        ".metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "render_snapshot",
+            "worker_registry",
+            "flush_counters",
+            "merge_counters",
+        ),
+        ".export": ("prometheus_text", "append_snapshot_jsonl"),
+        ".profile": (
+            "PoolProfile",
+            "PoolProfiler",
+            "ProfileReport",
+            "WaterfallReport",
+            "analyze_run",
+            "analyze_saved",
+            "effective_workers_from_events",
+        ),
+        ".progress": ("ProgressReporter", "format_progress", "format_stall", "format_degraded"),
+        ".spans": (
+            "Span",
+            "SpanRecorder",
+            "spans_from_trace",
+            "iter_trace_spans",
+            "instants_from_trace",
+            "chrome_trace_events",
+            "chrome_trace_from_trace",
+            "export_chrome_trace",
+            "export_jsonl",
+            "load_jsonl",
+            "iter_spans_jsonl",
+            "write_chrome_trace_streaming",
+        ),
+        ".telemetry": (
+            "Telemetry",
+            "install_default_metrics",
+            "record_rundown_metrics",
+            "record_sweep_metrics",
+            "record_grid_metrics",
+        ),
+    },
 )
 
-__all__ = [
-    "ObsEvent",
-    "PhaseStarted",
-    "PhaseEnded",
-    "GranuleDispatched",
-    "GranuleCompleted",
-    "OverlapAdmitted",
-    "OverlapRejected",
-    "WorkerIdle",
-    "WorkerBusy",
-    "QueueDepthChanged",
-    "MgmtActionDone",
-    "ProcessorFailed",
-    "GranuleRetried",
-    "PhaseStalled",
-    "PhaseStalledEvent",
-    "PoolTaskCompleted",
-    "PoolTaskHung",
-    "PoolDegraded",
-    "EventBus",
-    "NullEventBus",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "render_snapshot",
-    "worker_registry",
-    "flush_counters",
-    "merge_counters",
-    "prometheus_text",
-    "append_snapshot_jsonl",
-    "PoolProfile",
-    "PoolProfiler",
-    "ProfileReport",
-    "WaterfallReport",
-    "analyze_run",
-    "analyze_saved",
-    "effective_workers_from_events",
-    "ProgressReporter",
-    "format_progress",
-    "format_stall",
-    "format_degraded",
-    "Span",
-    "SpanRecorder",
-    "spans_from_trace",
-    "iter_trace_spans",
-    "instants_from_trace",
-    "chrome_trace_events",
-    "chrome_trace_from_trace",
-    "export_chrome_trace",
-    "export_jsonl",
-    "load_jsonl",
-    "iter_spans_jsonl",
-    "write_chrome_trace_streaming",
-    "Telemetry",
-    "install_default_metrics",
-    "record_rundown_metrics",
-    "record_sweep_metrics",
-    "record_grid_metrics",
-]
+__all__ = list(_EXPORTS)

@@ -45,7 +45,9 @@ import json
 import os
 import pickle
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.sim.events import EventKind
@@ -77,14 +79,24 @@ Spans = list[tuple[float, float]]
 
 
 # ---------------------------------------------------------------- interval algebra
+# Every span list below is disjoint and sorted, so each helper walks its
+# two inputs once, side by side.
+_START = itemgetter(0)
+_END = itemgetter(1)
+
+
 def _subtract(spans: Spans, cuts: Spans) -> Spans:
-    """``spans`` minus ``cuts``; both inputs disjoint and sorted."""
+    """``spans`` minus ``cuts``."""
     out: Spans = []
+    k = 0  # the first cut that ends after the current span starts
     for s, e in spans:
+        while k < len(cuts) and cuts[k][1] <= s:
+            k += 1
         lo = s
-        for cs, ce in cuts:
-            if ce <= lo or cs >= e:
-                continue
+        for j in range(k, len(cuts)):
+            cs, ce = cuts[j]
+            if cs >= e:
+                break
             if cs > lo:
                 out.append((lo, cs))
             lo = max(lo, ce)
@@ -95,10 +107,16 @@ def _subtract(spans: Spans, cuts: Spans) -> Spans:
     return out
 
 def _intersect(spans: Spans, windows: Spans) -> Spans:
-    """Pieces of ``spans`` inside ``windows``; both disjoint and sorted."""
+    """Pieces of ``spans`` inside ``windows``."""
     out: Spans = []
+    k = 0  # the first window that ends after the current span starts
     for s, e in spans:
-        for ws, we in windows:
+        while k < len(windows) and windows[k][1] <= s:
+            k += 1
+        for j in range(k, len(windows)):
+            ws, we = windows[j]
+            if ws >= e:
+                break
             lo, hi = max(s, ws), min(e, we)
             if hi > lo:
                 out.append((lo, hi))
@@ -106,6 +124,21 @@ def _intersect(spans: Spans, windows: Spans) -> Spans:
 
 def _total(spans: Spans) -> float:
     return sum(e - s for s, e in spans)
+
+def _window_total(spans: Spans, start: float, end: float) -> float:
+    """``_total(_intersect(spans, [(start, end)]))``, found by bisection:
+    the same pieces, summed in the same order."""
+    lo = bisect_right(spans, start, key=_END)
+    hi = bisect_left(spans, end, lo, key=_START)
+    return sum(min(e, end) - max(s, start) for s, e in spans[lo:hi])
+
+def _merged_by_category(ivs: Sequence[Any]) -> dict[str, Spans]:
+    """One resource's intervals, merged once per category (in order of
+    first appearance)."""
+    spans: dict[str, Spans] = {}
+    for iv in ivs:
+        spans.setdefault(iv.category, []).append((iv.start, iv.end))
+    return {cat: merge_intervals(s) for cat, s in spans.items()}
 
 
 # ---------------------------------------------------------------- waterfall rows
@@ -297,14 +330,13 @@ def _critical_path(trace: Trace, makespan: float, limit: int = 64) -> list[Criti
         (iv for iv in trace.intervals() if iv.duration > 0),
         key=lambda iv: (iv.end, iv.start, iv.resource),
     )
+    end_of = attrgetter("end")
     steps: list[CriticalPathStep] = []
     t = makespan
-    while ivs and len(steps) < limit and t > eps:
-        pick = None
-        for iv in reversed(ivs):
-            if iv.end <= t + eps and iv.start < t - eps:
-                pick = iv
-                break
+    n = len(ivs)  # ivs[:n] are the intervals that end at or before t
+    while len(steps) < limit and t > eps:
+        n = bisect_right(ivs, t + eps, 0, n, key=end_of)
+        pick = next((ivs[k] for k in range(n - 1, -1, -1) if ivs[k].start < t - eps), None)
         if pick is None:
             break
         steps.append(
@@ -318,7 +350,6 @@ def _critical_path(trace: Trace, makespan: float, limit: int = 64) -> list[Criti
             )
         )
         t = pick.start
-        ivs = [iv for iv in ivs if iv.end <= t + eps]
     steps.reverse()
     return steps
 
@@ -333,8 +364,8 @@ def build_waterfall(
 ) -> WaterfallReport:
     """Attribute every resource's time over ``[0, makespan)``.
 
-    ``rundown_windows`` are the merged run-level rundown intervals (idle
-    inside them becomes ``barrier_wait``); ``phase_windows`` are
+    ``rundown_windows`` are the run-level rundown intervals, merged here
+    (idle inside them becomes ``barrier_wait``); ``phase_windows`` are
     ``(name, start, end)`` rows for the per-phase table (derived from
     PHASE_START/PHASE_END records when omitted); ``phase_rundowns`` maps a
     phase row's name to its own rundown window for the ``rundown_idle``
@@ -346,19 +377,22 @@ def build_waterfall(
     rundown_w = merge_intervals(rundown_windows)
 
     workers = [f"P{i}" for i in range(n_workers)]
-    others = [r for r in trace.resources() if r not in set(workers)]
+    worker_set = set(workers)
+    resources = workers + [r for r in trace.resources() if r not in worker_set]
+    # resource -> category -> merged spans; the resource rows and the
+    # phase rows below all read these lists
+    merged: dict[str, dict[str, Spans]] = {}
     rows: list[ResourceWaterfall] = []
-    for name in workers + others:
+    for name in resources:
         ivs = list(trace.intervals(name))
-        busy = {
-            cat: _total(merge_intervals((iv.start, iv.end) for iv in ivs if iv.category == cat))
-            for cat in BUSY_CATEGORIES
-        }
-        for iv in ivs:  # off-taxonomy categories still count as busy
-            if iv.category not in busy:
-                busy[iv.category] = busy.get(iv.category, 0.0)
-        busy_merged = merge_intervals((iv.start, iv.end) for iv in ivs)
-        gaps = _subtract([(0.0, span)], busy_merged) if span > 0 else []
+        by_cat = merged[name] = _merged_by_category(ivs)
+        busy = {cat: _total(by_cat.get(cat, [])) for cat in BUSY_CATEGORIES}
+        for cat in by_cat:  # off-taxonomy categories still count as busy
+            if cat not in busy:
+                busy[cat] = 0.0
+        gaps = [(0.0, span)] if span > 0 else []
+        for spans in by_cat.values():
+            gaps = _subtract(gaps, spans)
         first_start = min((iv.start for iv in ivs), default=span)
         idle: dict[str, float] = {}
         for cat, windows in (
@@ -379,42 +413,22 @@ def build_waterfall(
     for name, start, end in phase_windows:
         if end <= start:
             continue
-        window = [(start, end)]
         cat_busy = {c: 0.0 for c in BUSY_CATEGORIES}
         worker_busy_in_window = 0.0
-        for res in workers + others:
-            ivs = list(trace.intervals(res))
+        for res in resources:
+            by_cat = merged[res]
             for cat in BUSY_CATEGORIES:
-                merged = merge_intervals(
-                    (iv.start, iv.end) for iv in ivs if iv.category == cat
-                )
-                cat_busy[cat] += _total(_intersect(merged, window))
-            if res in set(workers):
-                worker_busy_in_window += _total(
-                    _intersect(
-                        merge_intervals(
-                            (iv.start, iv.end) for iv in ivs if iv.category == "compute"
-                        ),
-                        window,
-                    )
-                )
+                seconds = _window_total(by_cat.get(cat, []), start, end)
+                cat_busy[cat] += seconds
+                if cat == "compute" and res in worker_set:
+                    worker_busy_in_window += seconds
         idle = max(0.0, n_workers * (end - start) - worker_busy_in_window)
         rundown_idle = 0.0
         rd = (phase_rundowns or {}).get(name)
         if rd is not None and rd[1] > rd[0]:
-            rd_window = [rd]
             rd_busy = 0.0
             for res in workers:
-                rd_busy += _total(
-                    _intersect(
-                        merge_intervals(
-                            (iv.start, iv.end)
-                            for iv in trace.intervals(res)
-                            if iv.category == "compute"
-                        ),
-                        rd_window,
-                    )
-                )
+                rd_busy += _window_total(merged[res].get("compute", []), rd[0], rd[1])
             rundown_idle = max(0.0, n_workers * (rd[1] - rd[0]) - rd_busy)
         phase_rows.append(
             PhaseWaterfallRow(
@@ -440,24 +454,23 @@ def build_waterfall(
 
 def analyze_run(result: Any) -> WaterfallReport:
     """Waterfall of a live :class:`~repro.executive.scheduler.RunResult`."""
-    # call-time import: metrics.rundown imports the scheduler, which
-    # imports repro.obs at module load
-    from repro.metrics.rundown import merged_rundown_windows
-
     phase_windows: list[tuple[str, float, float]] = []
     phase_rundowns: dict[str, tuple[float, float]] = {}
+    rundown: Spans = []  # every run's window; build_waterfall merges them
     for s in result.phase_stats:
+        window = s.rundown_window
+        if window is not None:
+            rundown.append(window)
         start = s.init_time if s.init_time is not None else s.first_task_start
         if start is None or s.complete_time is None:
             continue
         phase_windows.append((s.name, start, s.complete_time))
-        window = s.rundown_window
         if window is not None:
             phase_rundowns[s.name] = window
     return build_waterfall(
         result.trace,
         result.n_workers,
-        rundown_windows=merged_rundown_windows(result),
+        rundown_windows=rundown,
         phase_windows=phase_windows,
         phase_rundowns=phase_rundowns,
         makespan=result.makespan,
@@ -502,7 +515,7 @@ def analyze_saved(data: Mapping[str, Any]) -> WaterfallReport:
     return build_waterfall(
         trace,
         n_workers,
-        rundown_windows=merge_intervals(rundown),
+        rundown_windows=rundown,
         phase_windows=phase_windows,
         phase_rundowns=phase_rundowns,
         makespan=float(summary["makespan"]) if "makespan" in summary else None,

@@ -11,6 +11,13 @@ successor granule too early, these runs would corrupt data and the
 equality-with-sequential tests would fail.
 """
 
-from repro.runtime.threaded import KernelPhase, ThreadedExecutor, run_fragment_threaded
+from repro._lazy import lazy_exports
 
-__all__ = ["KernelPhase", "ThreadedExecutor", "run_fragment_threaded"]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".threaded": ("KernelPhase", "ThreadedExecutor", "run_fragment_threaded"),
+    },
+)
+
+__all__ = list(_EXPORTS)

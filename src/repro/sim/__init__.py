@@ -23,20 +23,16 @@ Modules
     Named, seeded random substreams for reproducible stochastic workloads.
 """
 
-from repro.sim.engine import Event, EventQueue, Simulator
-from repro.sim.machine import ExecutivePlacement, Machine, Processor
-from repro.sim.rng import RngStreams
-from repro.sim.trace import Interval, Trace, utilization_timeline
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventQueue",
-    "Simulator",
-    "ExecutivePlacement",
-    "Machine",
-    "Processor",
-    "RngStreams",
-    "Interval",
-    "Trace",
-    "utilization_timeline",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".engine": ("Event", "EventQueue", "Simulator"),
+        ".machine": ("ExecutivePlacement", "Machine", "Processor"),
+        ".rng": ("RngStreams",),
+        ".trace": ("Interval", "Trace", "utilization_timeline"),
+    },
+)
+
+__all__ = list(_EXPORTS)

@@ -11,11 +11,12 @@ from these intervals, so this module is the single source of truth for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.sim.events import EventKind, LogRecord
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
     "Interval",
@@ -253,6 +254,10 @@ def utilization_timeline(
     sampling grid.  This is the raw material for the paper's central
     quantity: how many processors are busy as a phase runs down.
     """
+    # imported here so that reading a saved trace (`repro profile`,
+    # `repro export-trace`) never loads numpy
+    import numpy as np
+
     if resources is None:
         resources = trace.resources()
     deltas: list[tuple[float, int]] = []

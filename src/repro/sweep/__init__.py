@@ -50,72 +50,40 @@ See docs/PERFORMANCE.md for usage and the scaling benchmark, and
 docs/RESILIENCE.md for the degradation ladder and deadline knobs.
 """
 
-from repro.sweep.grid import (
-    GridAxis,
-    GridOutcome,
-    GridReport,
-    GridSpec,
-    grid_cell_seed,
-    grid_point_seed,
-    materialize_maps,
-    parse_axis,
-    run_grid,
-    run_grid_cell,
-)
-from repro.sweep.runner import (
-    SweepOutcome,
-    SweepReport,
-    SweepSpec,
-    SweepWorkerDied,
-    build_workload,
-    map_configs,
-    replication_seed,
-    result_summary,
-    run_pool_tasks,
-    run_replication,
-    run_sweep,
-    workload_names,
-)
-from repro.sweep.pool import CostModel, WarmPool, cost_model, shutdown_warm_pool, warm_pool
-from repro.sweep.shm import SharedMapStore, audit_shm_segments, reap_leaked_segments
-from repro.sweep.supervise import (
-    DEGRADATION_LADDER,
-    SupervisionPolicy,
-    Supervisor,
+from repro._lazy import lazy_exports
+
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".runner": (
+            "SweepSpec",
+            "SweepReport",
+            "SweepOutcome",
+            "SweepWorkerDied",
+            "run_sweep",
+            "run_replication",
+            "run_pool_tasks",
+            "replication_seed",
+            "result_summary",
+            "map_configs",
+        ),
+        "repro.workloads.registry": ("build_workload", "workload_names"),
+        ".grid": (
+            "GridAxis",
+            "GridSpec",
+            "GridReport",
+            "GridOutcome",
+            "run_grid",
+            "run_grid_cell",
+            "grid_point_seed",
+            "grid_cell_seed",
+            "materialize_maps",
+            "parse_axis",
+        ),
+        ".shm": ("SharedMapStore", "audit_shm_segments", "reap_leaked_segments"),
+        ".pool": ("WarmPool", "CostModel", "warm_pool", "cost_model", "shutdown_warm_pool"),
+        ".supervise": ("SupervisionPolicy", "Supervisor", "DEGRADATION_LADDER"),
+    },
 )
 
-__all__ = [
-    "SweepSpec",
-    "SweepReport",
-    "SweepOutcome",
-    "SweepWorkerDied",
-    "run_sweep",
-    "run_replication",
-    "run_pool_tasks",
-    "replication_seed",
-    "result_summary",
-    "map_configs",
-    "build_workload",
-    "workload_names",
-    "GridAxis",
-    "GridSpec",
-    "GridReport",
-    "GridOutcome",
-    "run_grid",
-    "run_grid_cell",
-    "grid_point_seed",
-    "grid_cell_seed",
-    "materialize_maps",
-    "parse_axis",
-    "SharedMapStore",
-    "audit_shm_segments",
-    "reap_leaked_segments",
-    "WarmPool",
-    "CostModel",
-    "warm_pool",
-    "cost_model",
-    "shutdown_warm_pool",
-    "SupervisionPolicy",
-    "Supervisor",
-    "DEGRADATION_LADDER",
-]
+__all__ = list(_EXPORTS)

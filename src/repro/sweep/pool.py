@@ -56,9 +56,18 @@ __all__ = [
 ]
 
 #: Modules the forkserver pre-imports: new workers fork from a server
-#: that already paid for numpy and the executive import tree, so a
-#: post-crash rebuild costs a fork, not an interpreter boot.
-_PRELOAD = ["repro.sweep.runner", "repro.executive", "numpy"]
+#: that already paid for numpy and the simulator, so a post-crash
+#: rebuild costs a fork, not an interpreter boot.  Package ``__init__``
+#: files are lazy, so these are the leaf modules a worker runs: the
+#: sweep and grid entry points, the executive, and the profiler's init
+#: stamp (:func:`_worker_init`).
+_PRELOAD = [
+    "repro.sweep.runner",
+    "repro.sweep.grid",
+    "repro.executive.scheduler",
+    "repro.obs.profile",
+    "numpy",
+]
 
 #: Start methods in preference order; the first one the platform offers
 #: wins.  ``fork`` is nearly as cheap as forkserver but inherits arbitrary

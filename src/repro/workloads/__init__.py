@@ -12,44 +12,35 @@
   Navier–Stokes pipeline standing in for CASPER's solver;
 * :mod:`repro.workloads.particles` — a particle chain whose neighbour
   lists are genuinely dynamically generated selection maps (the paper's
-  reverse-indirect situation in the wild).
+  reverse-indirect situation in the wild);
+* :mod:`repro.workloads.registry` — the named builders the CLI and the
+  sweep engine share.
 """
 
-from repro.workloads.generators import (
-    UniformCost,
-    ExponentialCost,
-    LognormalCost,
-    ConditionalCost,
-    synthetic_chain,
-)
-from repro.workloads.fragments import (
-    universal_fragment,
-    identity_fragment,
-    reverse_indirect_fragment,
-    forward_indirect_fragment,
-)
-from repro.workloads.casper import casper_suite, CASPER_KIND_SEQUENCE, CASPER_LINE_WEIGHTS
-from repro.workloads.checkerboard import CheckerboardSOR, checkerboard_program
-from repro.workloads.navier_stokes import NavierStokes2D, navier_stokes_program
-from repro.workloads.particles import ParticleChain, particle_program
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "UniformCost",
-    "ExponentialCost",
-    "LognormalCost",
-    "ConditionalCost",
-    "synthetic_chain",
-    "universal_fragment",
-    "identity_fragment",
-    "reverse_indirect_fragment",
-    "forward_indirect_fragment",
-    "casper_suite",
-    "CASPER_KIND_SEQUENCE",
-    "CASPER_LINE_WEIGHTS",
-    "CheckerboardSOR",
-    "checkerboard_program",
-    "NavierStokes2D",
-    "navier_stokes_program",
-    "ParticleChain",
-    "particle_program",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".generators": (
+            "UniformCost",
+            "ExponentialCost",
+            "LognormalCost",
+            "ConditionalCost",
+            "synthetic_chain",
+        ),
+        ".fragments": (
+            "universal_fragment",
+            "identity_fragment",
+            "reverse_indirect_fragment",
+            "forward_indirect_fragment",
+        ),
+        ".casper": ("casper_suite", "CASPER_KIND_SEQUENCE", "CASPER_LINE_WEIGHTS"),
+        ".checkerboard": ("CheckerboardSOR", "checkerboard_program"),
+        ".navier_stokes": ("NavierStokes2D", "navier_stokes_program"),
+        ".particles": ("ParticleChain", "particle_program"),
+        ".registry": ("build_workload", "workload_names"),
+    },
+)
+
+__all__ = list(_EXPORTS)

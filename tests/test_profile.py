@@ -11,15 +11,18 @@ import json
 
 import pytest
 
+import repro.obs.profile as profile_module
 from repro.core.mapping import IdentityMapping
-from repro.faults import FaultPlan, RecoveryPolicy, TransientGranuleError
-from repro.obs import WaterfallReport, analyze_run, analyze_saved
+from repro.faults import FaultPlan, ProcessorCrash, RecoveryPolicy, TransientGranuleError
+from repro.obs import ProfileReport, WaterfallReport, analyze_run, analyze_saved
 from repro.obs.profile import IDLE_CATEGORIES, build_waterfall
 from repro.sim.events import EventKind
 from repro.sim.persist import result_summary, trace_to_dict
 from repro.sim.trace import Interval, Trace
-from repro.executive import ExecutiveSimulation
+from repro.executive import ExecutiveSimulation, run_program
+from repro.workloads import build_workload, workload_names
 from tests.conftest import two_phase_program
+from tests.waterfall_reference import reference_analyze_run, reference_build_waterfall
 
 APPROX = pytest.approx
 
@@ -32,6 +35,12 @@ def synthetic_trace() -> Trace:
     t.add_interval(Interval("P1", 2.0, 8.0, "compute", "c"))
     t.add_interval(Interval("EXEC", 0.0, 1.0, "mgmt", "init"))
     return t
+
+
+def saved_document(result) -> dict:
+    """``result`` as ``repro simulate --save`` writes and reads it."""
+    doc = {"summary": result_summary(result), "trace": trace_to_dict(result.trace)}
+    return json.loads(json.dumps(doc))
 
 
 def assert_fully_accounted(report: WaterfallReport) -> None:
@@ -146,8 +155,7 @@ class TestAnalyzeRun:
     def test_saved_document_matches_live_analysis(self):
         result = self.run_faulted()
         live = analyze_run(result)
-        doc = {"summary": result_summary(result), "trace": trace_to_dict(result.trace)}
-        saved = analyze_saved(json.loads(json.dumps(doc)))
+        saved = analyze_saved(saved_document(result))
         assert saved.makespan == APPROX(live.makespan)
         assert saved.n_workers == live.n_workers
         live_totals, saved_totals = live.totals(), saved.totals()
@@ -160,3 +168,58 @@ class TestAnalyzeRun:
         report = analyze_saved(trace_to_dict(result.trace))
         assert_fully_accounted(report)
         assert report.n_workers == 4  # inferred from P* resources
+
+
+def report_json(waterfall: WaterfallReport) -> str:
+    return ProfileReport(waterfall=waterfall).to_json()
+
+
+class TestMatchesReference:
+    """The waterfall merges each resource's intervals once; the reference
+    in ``tests/waterfall_reference.py`` re-merges them for every phase
+    row.  Their reports must be the same bytes."""
+
+    def assert_matches_reference(self, result, monkeypatch) -> dict:
+        doc = saved_document(result)
+        live, saved = report_json(analyze_run(result)), report_json(analyze_saved(doc))
+        with monkeypatch.context() as m:
+            m.setattr(profile_module, "build_waterfall", reference_build_waterfall)
+            reference_saved = report_json(analyze_saved(doc))
+        assert live == report_json(reference_analyze_run(result))
+        assert saved == reference_saved
+        return json.loads(saved)["waterfall"]
+
+    @pytest.mark.parametrize("workload", workload_names())
+    def test_workloads(self, workload, monkeypatch):
+        result = run_program(build_workload(workload), 8, seed=0)
+        waterfall = self.assert_matches_reference(result, monkeypatch)
+        assert waterfall["phases"] and waterfall["critical_path"]
+
+    def test_retry_and_stall_windows(self, monkeypatch):
+        result = run_program(
+            build_workload("casper"),
+            8,
+            seed=0,
+            faults=FaultPlan(
+                seed=1, faults=(TransientGranuleError(0.1), ProcessorCrash(2, 10.0))
+            ),
+            recovery=RecoveryPolicy(max_retries=8, watchdog_timeout=5.0),
+        )
+        idle = self.assert_matches_reference(result, monkeypatch)["totals"]["idle"]
+        assert idle["retry_backoff"] > 0 and idle["stall_wait"] > 0
+
+    def test_merges_each_resource_category_once(self, monkeypatch):
+        result = run_program(build_workload("casper"), 8, seed=0)
+        doc = saved_document(result)
+        calls = []
+        merge = profile_module.merge_intervals
+
+        def counting(spans):
+            calls.append(1)
+            return merge(spans)
+
+        monkeypatch.setattr(profile_module, "merge_intervals", counting)
+        analyze_saved(doc)
+        pairs = {(iv.resource, iv.category) for iv in result.trace.intervals()}
+        # plus the run-level windows: retry backoff, stall and rundown
+        assert len(calls) <= len(pairs) + 3

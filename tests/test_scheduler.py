@@ -31,6 +31,13 @@ from repro.core.mapping import (
 from repro.core.overlap import OverlapConfig, OverlapPolicy, SplitStrategy
 from repro.core.phase import ConstantCost, PhaseProgram, PhaseSpec, SerialAction, PhaseLink
 from repro.executive import ExecutiveCosts, ExecutiveSimulation, TaskSizer, run_program
+from repro.faults import (
+    FaultPlan,
+    PhaseAbortError,
+    ProcessorCrash,
+    RecoveryPolicy,
+    TransientGranuleError,
+)
 from repro.sim.events import EventKind
 from repro.sim.machine import ExecutivePlacement
 from repro.sweep import build_workload
@@ -395,23 +402,63 @@ class TestRundownStats:
         assert r.phase_stats[0].tasks == 16
 
 
-def test_run_releases_enablement_engines(monkeypatch):
-    # the hot loop and the simulation point at each other, so only a full
-    # collection would free a finished run; its engines must not wait
-    engines: list[weakref.ref] = []
-    init = EnablementEngine.__init__
+def _record_instances(monkeypatch, cls) -> list[weakref.ref]:
+    refs: list[weakref.ref] = []
+    init = cls.__init__
 
     def recording(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        engines.append(weakref.ref(self))
+        refs.append(weakref.ref(self))
 
-    monkeypatch.setattr(EnablementEngine, "__init__", recording)
+    monkeypatch.setattr(cls, "__init__", recording)
+    return refs
+
+
+def test_run_releases_enablement_engines(monkeypatch):
+    # a finished run must be freed by reference counting alone: with GC
+    # disabled, neither the simulation (its hot loop and the machine's
+    # callbacks point back at it) nor its engines may stay alive
+    engines = _record_instances(monkeypatch, EnablementEngine)
+    sims = _record_instances(monkeypatch, ExecutiveSimulation)
     program = build_workload("reverse-indirect", {"n": 256, "fan_in": 2})
     gc.disable()
     try:
         run_program(program, 4, seed=0)
+        for _ in range(3):
+            run_program(build_workload("casper"), 8, seed=0)
         assert engines, "the overlapped link must build an engine"
         assert [ref for ref in engines if ref() is not None] == []
+        assert len(sims) == 4
+        assert [ref for ref in sims if ref() is not None] == []
+    finally:
+        gc.enable()
+
+
+def test_faulted_run_is_freed_without_gc(monkeypatch):
+    # the barrier watchdog re-arms itself and crashes are scheduled
+    # callbacks; neither may keep a finished or aborted run alive
+    sims = _record_instances(monkeypatch, ExecutiveSimulation)
+    gc.disable()
+    try:
+        run_program(
+            build_workload("casper"),
+            8,
+            seed=0,
+            faults=FaultPlan(
+                seed=1, faults=(TransientGranuleError(0.1), ProcessorCrash(2, 10.0))
+            ),
+            recovery=RecoveryPolicy(max_retries=8, watchdog_timeout=5.0),
+        )
+        with pytest.raises(PhaseAbortError):
+            run_program(
+                build_workload("identity"),
+                2,
+                seed=0,
+                faults=FaultPlan(faults=(ProcessorCrash(0, 1.0), ProcessorCrash(1, 1.0))),
+                recovery=RecoveryPolicy(max_retries=1, watchdog_timeout=2.0),
+            )
+        assert len(sims) == 2
+        assert [ref for ref in sims if ref() is not None] == []
     finally:
         gc.enable()
 

@@ -36,6 +36,7 @@ from repro.sweep import (
     run_grid,
     run_sweep,
 )
+from repro.sweep.supervise import heartbeat_path
 
 SPEC = SweepSpec("identity", replications=4, seed=11, sim_workers=4)
 
@@ -64,6 +65,27 @@ def _dead_soon(pid: int, timeout: float = 5.0) -> bool:
     return True
 
 
+def _initialised_soon(pool: WarmPool, workers: int, timeout: float = 30.0) -> bool:
+    """Whether ``workers`` pool processes have all finished their
+    initializer within ``timeout``.
+
+    A worker writes its heartbeat stamp only after the profiler's init
+    stamp, so a stamp file per PID means every worker is warm.  The
+    executor spawns workers on submission, so the last one may still be
+    importing when the sweep that spawned it returns.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        pids = pool.worker_pids()
+        if len(pids) == workers and all(
+            os.path.exists(heartbeat_path(pool.heartbeat_dir, pid)) for pid in pids
+        ):
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+
+
 def _square(x: int) -> int:
     return x * x
 
@@ -88,7 +110,7 @@ class TestWarmPoolLifecycle:
         pool = WarmPool()
         try:
             run_sweep(SPEC, workers=2, pool=pool)  # spawn + warm the workers
-            assert len(pool.worker_pids()) == 2
+            assert _initialised_soon(pool, 2), "pool workers never finished their init"
             profiler = PoolProfiler()
             run_sweep(SPEC, workers=2, pool=pool, profiler=profiler, batch_size=1)
             profile = profiler.profile("replication", 2)
