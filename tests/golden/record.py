@@ -61,12 +61,15 @@ def run_kwargs(spec: dict[str, Any]) -> dict[str, Any]:
     if "placement" in spec:
         kw["placement"] = ExecutivePlacement(spec["placement"])
     if "config" in spec:
-        cfg = spec["config"]
+        # policy and split strategy by value; every other key (group size,
+        # target fraction, elevation) passes through as is
+        cfg = dict(spec["config"])
         kw["config"] = OverlapConfig(
-            policy=OverlapPolicy(cfg.get("policy", OverlapPolicy.NEXT_PHASE.value)),
+            policy=OverlapPolicy(cfg.pop("policy", OverlapPolicy.NEXT_PHASE.value)),
             split_strategy=SplitStrategy(
-                cfg.get("split_strategy", SplitStrategy.SUCCESSOR_TASK.value)
+                cfg.pop("split_strategy", SplitStrategy.SUCCESSOR_TASK.value)
             ),
+            **cfg,
         )
     if "sizer" in spec:
         kw["sizer"] = TaskSizer(**spec["sizer"])

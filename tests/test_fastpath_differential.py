@@ -4,10 +4,11 @@ Each case re-runs one configuration recorded in
 ``tests/golden/sim_digests.json`` and compares the sha256 of its
 canonical output — both result summaries, the recovery counters and the
 full persisted trace — with the recorded digest.  The corpus covers every
-bundled workload, a nine-configuration matrix, seeded fault plans and 40
-stored random configurations; ``tests/golden/README.md`` says when a
-digest may be re-recorded.  The module keeps its name, from when these
-cases compared two simulation paths, so that its test ids stay stable.
+bundled workload, a nine-configuration matrix, seeded fault plans, the
+indirect-mapping machinery and 40 stored random configurations;
+``tests/golden/README.md`` says when a digest may be re-recorded.  The
+module keeps its name, from when these cases compared two simulation
+paths, so that its test ids stay stable.
 """
 
 from __future__ import annotations
@@ -75,6 +76,21 @@ class TestFaultInjection:
             assert_golden("faults/identity-11", telemetry=tel)
         counts = [tel.bus.events_published for tel in telemetries]
         assert counts[0] == counts[1] > 0
+
+
+# ------------------------------------------------------------------ indirect
+INDIRECT_CASES = sorted(case for case in CASES if case.startswith("indirect/"))
+
+
+class TestIndirectMappings:
+    """Composite maps, enablement counters, deferred release and priority
+    elevation: reverse-indirect at three fan-ins and group sizes, target
+    subsets, elevation, a crash plus transient faults, and casper's
+    forward-indirect phase."""
+
+    @pytest.mark.parametrize("case", INDIRECT_CASES)
+    def test_byte_identity(self, case):
+        assert_golden(case)
 
 
 # ------------------------------------------------------------------ sanitizer
