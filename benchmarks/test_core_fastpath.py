@@ -6,8 +6,8 @@ docs/PERFORMANCE.md):
 
 * ``enablement_notify`` — indirect-mapping completion processing through
   the inverted predecessor→group index, against the full-counter-scan
-  reference (``indexed=False``), at the paper-sized worst case
-  n_pred = n_succ = 10 000, group_size = 1;
+  reference (``tests/enablement_reference.py``), at the paper-sized worst
+  case n_pred = n_succ = 10 000, group_size = 1;
 * ``composite_build`` — vectorized composite-map generation against the
   generic per-group ``required_for`` loop;
 * ``granule_algebra`` — ``union_all`` bulk union against a repeated-``|``
@@ -69,9 +69,11 @@ def bench_enablement_notify() -> dict:
     chunk = 50
     chunks = [GranuleSet.from_ranges([(i, min(i + chunk, n))]) for i in range(0, n, chunk)]
 
+    from tests.enablement_reference import ScanEngine
+
     engines = {
-        "indexed": EnablementEngine(mapping, n, n, maps, group_size=1, indexed=True),
-        "scan": EnablementEngine(mapping, n, n, maps, group_size=1, indexed=False),
+        "indexed": EnablementEngine(mapping, n, n, maps, group_size=1),
+        "scan": ScanEngine(mapping, n, n, maps, group_size=1),
     }
     times = {}
     for name, engine in engines.items():
@@ -308,7 +310,7 @@ def test_core_fastpath():
 if __name__ == "__main__":
     import sys
 
-    # the simulate bench reads the golden corpus in tests/golden
+    # the enablement and simulate benches read references in tests/
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
     out = run_all()
     write_report(out)

@@ -136,7 +136,7 @@ def bench_enablement_notify() -> dict:
     mapping = ReverseIndirectMapping("M", fan_in=1)
     chunk = 50
     chunks = [GranuleSet.from_ranges([(i, min(i + chunk, n))]) for i in range(0, n, chunk)]
-    engine = EnablementEngine(mapping, n, n, maps, group_size=1, indexed=True)
+    engine = EnablementEngine(mapping, n, n, maps, group_size=1)
     t0 = time.perf_counter()
     for c in chunks:
         engine.notify(c)

@@ -25,7 +25,7 @@ Quickstart
 >>> from repro import (PhaseSpec, PhaseProgram, IdentityMapping,
 ...                    OverlapConfig, run_program)
 >>> program = PhaseProgram.chain(
-...     [PhaseSpec("produce", 64), PhaseSpec("consume", 64)],
+...     [PhaseSpec("produce", 256), PhaseSpec("consume", 256)],
 ...     [IdentityMapping()],
 ... )
 >>> barrier = run_program(program, n_workers=8, config=OverlapConfig.barrier())
@@ -50,7 +50,7 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
             "MappedIndex",
         ),
         ".core.classifier": ("MappingCensus", "classify_pair", "classify_program"),
-        ".core.enablement": ("CompositeGranuleMap", "EnablementCounter", "EnablementEngine"),
+        ".core.enablement": ("CompositeGranuleMap", "EnablementEngine"),
         ".core.granule": ("GranuleRange", "GranuleSet"),
         ".core.mapping": (
             "EnablementMapping",

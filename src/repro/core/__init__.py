@@ -43,7 +43,6 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
         ".enablement": (
             "CompositeGranuleMap",
             "CompositeMapCache",
-            "EnablementCounter",
             "EnablementEngine",
             "maps_fingerprint",
         ),

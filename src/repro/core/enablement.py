@@ -18,11 +18,11 @@ For the indirect mappings the paper prescribes exactly this machinery:
     problem."
 
 :class:`CompositeGranuleMap` is the executive-built table from successor
-subset groups to required predecessor granule sets;
-:class:`EnablementCounter` is the per-group countdown;
+subset groups to required predecessor granule sets, held as flat arrays
+(:class:`~repro.core.granule.GroupRuns`);
 :class:`EnablementEngine` drives either the counter machinery (indirect
-mappings) or direct incremental evaluation (universal / identity / seam)
-during completion processing.
+mappings: one counter per group in one array) or direct incremental
+evaluation (universal / identity / seam) during completion processing.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.granule import GranuleSet, group_index_arrays
+from repro.core.granule import GranuleSet, GroupRuns
 from repro.core.mapping import EnablementMapping
 
 __all__ = [
-    "EnablementCounter",
     "CompositeGroup",
     "CompositeGranuleMap",
     "CompositeMapCache",
@@ -70,46 +69,6 @@ def maps_fingerprint(maps: Mapping[str, np.ndarray] | None):
     return tuple(items)
 
 
-class EnablementCounter:
-    """Countdown over a required predecessor granule set.
-
-    The successor work it guards becomes computable when every required
-    granule has completed — "it is enabled not by the completion of any
-    one such granule but by the completion of all the identified
-    granules."
-    """
-
-    def __init__(self, required: GranuleSet) -> None:
-        self._remaining = required
-        self._required = required
-        self.fired = len(required) == 0
-
-    @property
-    def required(self) -> GranuleSet:
-        """The full original requirement."""
-        return self._required
-
-    @property
-    def remaining(self) -> GranuleSet:
-        """Required granules not yet completed."""
-        return self._remaining
-
-    @property
-    def count(self) -> int:
-        """The enablement counter value (granules still outstanding)."""
-        return len(self._remaining)
-
-    def on_complete(self, done: GranuleSet) -> bool:
-        """Credit completed granules; True exactly when the counter hits zero."""
-        if self.fired:
-            return False
-        self._remaining = self._remaining - done
-        if not self._remaining:
-            self.fired = True
-            return True
-        return False
-
-
 @dataclass(frozen=True, slots=True)
 class CompositeGroup:
     """One composite-map entry: a successor subset and its requirement."""
@@ -133,37 +92,33 @@ class CompositeGranuleMap:
     extensive composite granule map generation could be self defeating."
     :meth:`build_cost` quantifies it so the simulator can charge the
     executive.
+
+    The table is two :class:`~repro.core.granule.GroupRuns` in the same
+    group order: :attr:`successors` and :attr:`required`.  The per-group
+    :attr:`groups` objects are built on first read.
     """
 
     def __init__(self, groups: list[CompositeGroup]) -> None:
+        successors = GroupRuns.from_sets([g.successors for g in groups])
+        covered = successors.union()
         # the groups are pairwise disjoint exactly when their union loses
         # no granule to overlap
-        successors = [g.successors for g in groups]
-        covered = GranuleSet.union_all(successors)
-        if len(covered) != sum(map(len, successors)):
+        if len(covered) != (successors.stops - successors.starts).sum():
             raise ValueError("composite map successor groups must be disjoint")
-        self.groups = list(groups)
-        self.covered = covered
+        required = GroupRuns.from_sets([g.required for g in groups])
+        self._init(successors, required, covered, None, len(groups))
+        self._groups = list(groups)
+
+    def _init(self, successors, required, covered, build_args, rebuilt_groups) -> None:
+        self.successors: GroupRuns = successors
+        self.required: GroupRuns = required
+        self.covered: GranuleSet = covered
+        self._groups: list[CompositeGroup] | None = None
         # build provenance, set by build(); None for hand-assembled maps
-        self._build_args: tuple | None = None
-        #: groups recomputed by the last build (== len(groups) for a cold
+        self._build_args: tuple | None = build_args
+        #: groups recomputed by the last build (== n_groups for a cold
         #: build; the rebuild win is visible as reused = total - rebuilt)
-        self.rebuilt_groups: int = len(groups)
-
-    @staticmethod
-    def _chunk(space: GranuleSet, group_size: int) -> list[GranuleSet]:
-        """Partition a successor space into subset groups of ``group_size``.
-
-        Deterministic front-to-back chunking: two spaces that agree on a
-        granule prefix produce identical leading chunks, which is what
-        makes the target-only rebuild reuse effective.
-        """
-        subsets: list[GranuleSet] = []
-        rest = space
-        while rest:
-            head, rest = rest.take(group_size)
-            subsets.append(head)
-        return subsets
+        self.rebuilt_groups: int = rebuilt_groups
 
     @classmethod
     def build(
@@ -182,7 +137,9 @@ class CompositeGranuleMap:
         enablement latency (bigger groups fire later but cost less to
         build and check).  ``target`` restricts generation to a subset of
         the successor space — the paper's "subset group … to avoid
-        solving an unnecessarily large enablement problem".
+        solving an unnecessarily large enablement problem".  The groups
+        cut the target front to back (:meth:`GroupRuns.chunks`), so two
+        targets that share a prefix share their leading groups.
 
         ``reuse`` is a previously built map for the *same* ``(mapping,
         n_pred, n_succ, maps, group_size)``: any subset group whose
@@ -195,23 +152,20 @@ class CompositeGranuleMap:
         if group_size < 1:
             raise ValueError(f"group_size must be >= 1, got {group_size}")
         space = target if target is not None else GranuleSet.universe(n_succ)
-        subsets = cls._chunk(space, group_size)
-        cached: dict[GranuleSet, GranuleSet] = {}
-        if reuse is not None:
-            cached = {g.successors: g.required for g in reuse.groups}
-        missing = [s for s in subsets if s not in cached]
-        # one bulk reverse-mapping pass instead of a required_for call
-        # (with its per-call map validation) per subset group
-        requireds = dict(
-            zip(missing, mapping.required_for_many(missing, n_pred, n_succ, maps))
-        )
-        groups = [
-            CompositeGroup(successors=s, required=cached[s] if s in cached else requireds[s])
-            for s in subsets
-        ]
-        out = cls(groups)
-        out._build_args = (mapping, n_pred, n_succ, maps, group_size)
-        out.rebuilt_groups = len(missing)
+        successors = GroupRuns.chunks(space, group_size)
+        if reuse is None:
+            required = mapping.required_for_many(successors, n_pred, n_succ, maps)
+            rebuilt = successors.n_groups
+        else:
+            # row of each group in reuse.required, then in the fresh rows
+            rows = successors.find_in(reuse.successors)
+            missing = np.flatnonzero(rows < 0)
+            fresh = mapping.required_for_many(successors.take(missing), n_pred, n_succ, maps)
+            rows[missing] = reuse.required.n_groups + np.arange(missing.size)
+            required = GroupRuns.concat(reuse.required, fresh).take(rows)
+            rebuilt = missing.size
+        out = cls.__new__(cls)
+        out._init(successors, required, space, (mapping, n_pred, n_succ, maps, group_size), rebuilt)
         return out
 
     def rebuild_targets(self, target: GranuleSet | None) -> "CompositeGranuleMap":
@@ -235,12 +189,21 @@ class CompositeGranuleMap:
         )
 
     @property
+    def groups(self) -> list[CompositeGroup]:
+        """The entries as objects, built on first read (priority elevation)."""
+        if self._groups is None:
+            self._groups = list(
+                map(CompositeGroup, self.successors.sets(), self.required.sets())
+            )
+        return self._groups
+
+    @property
     def n_groups(self) -> int:
-        return len(self.groups)
+        return self.successors.n_groups
 
     def total_required(self) -> int:
         """Sum of requirement sizes — the map-generation workload measure."""
-        return sum(len(g.required) for g in self.groups)
+        return int((self.required.stops - self.required.starts).sum())
 
     def build_cost(self, cost_per_entry: float) -> float:
         """Executive time to generate this map."""
@@ -256,7 +219,7 @@ class CompositeGranuleMap:
         waiting computation queue in such a manner as to elevate their
         computational priority."
         """
-        return GranuleSet.union_all(g.required for g in self.groups)
+        return self.required.union()
 
 
 class CompositeMapCache:
@@ -272,8 +235,8 @@ class CompositeMapCache:
     target-dependent suffix instead of the whole table.
 
     The cache never changes results: a hit rebuilds through the same
-    ``required_for_many`` reverse mapping a cold build would run, group by
-    group, so the produced map is element-identical (the Hypothesis
+    ``required_for_many`` reverse mapping a cold build would run, so the
+    produced map is element-identical (the Hypothesis
     differential tests pin this).  ``hits`` / ``misses`` /
     ``groups_reused`` expose the win for telemetry and benchmarks.
     """
@@ -302,7 +265,7 @@ class CompositeMapCache:
         if prev is not None:
             out = prev.rebuild_targets(target)
             self.hits += 1
-            self.groups_reused += len(out.groups) - out.rebuilt_groups
+            self.groups_reused += out.n_groups - out.rebuilt_groups
         else:
             out = CompositeGranuleMap.build(
                 mapping, n_pred, n_succ, maps, group_size=group_size, target=target
@@ -323,26 +286,15 @@ class EnablementEngine:
       mapping incrementally on each completion;
     * **counter** — reverse / forward indirect: build a
       :class:`CompositeGranuleMap` (costed separately by the executive)
-      and decrement :class:`EnablementCounter` instances.
+      and count down one enablement counter per subset group.
 
     ``notify(delta)`` returns the successor granules that have *just*
     become enabled, never repeating earlier answers.
 
-    The counter mode has two notify implementations, pinned
-    element-identical by differential tests:
-
-    * ``indexed=True`` (the default) — a CSR inverted index maps each
-      predecessor granule to the groups it credits; counter values live
-      in one int64 array and a whole completion delta is credited with a
-      single ``np.bincount`` over the index, no per-group Python loop
-      until something actually fires;
-    * ``indexed=False`` — scan every counter per completion (the
-      reference the tests and benchmarks compare against).
-
-    With the index, the per-group :class:`EnablementCounter` objects keep
-    their ``required`` set and have ``fired`` synced when a group fires,
-    but their ``remaining`` sets are **not** maintained — the
-    authoritative countdown is the array.
+    The counters are one int64 array of outstanding requirement sizes.
+    A CSR inverted index maps each predecessor granule to the groups it
+    credits, so a whole completion delta is credited with a single
+    ``np.bincount`` and only the groups that fire are touched in Python.
     """
 
     def __init__(
@@ -353,7 +305,6 @@ class EnablementEngine:
         maps: Mapping[str, np.ndarray] | None = None,
         group_size: int = 1,
         target: GranuleSet | None = None,
-        indexed: bool = True,
         composite_cache: CompositeMapCache | None = None,
     ) -> None:
         self.mapping = mapping
@@ -363,64 +314,51 @@ class EnablementEngine:
         self.completed = GranuleSet.empty()
         self._enabled = GranuleSet.empty()
         self.composite: CompositeGranuleMap | None = None
-        self._counters: list[tuple[GranuleSet, EnablementCounter]] = []
         self._deferred: GranuleSet = GranuleSet.empty()
         # universes are immutable; recomputing them per pending/notify call
         # was a measurable constant drag on completion processing
         self._pred_universe = GranuleSet.universe(n_pred)
         self._succ_universe = GranuleSet.universe(n_succ)
-        # CSR inverted index: predecessor granule -> counter groups it
-        # credits.  None means "scan every group" (reference behaviour,
-        # kept for differential tests and benchmarks).
+        # counter state, None in direct mode (and for a map with no group):
+        # outstanding credits and fired flag per composite group, and the
+        # CSR inverted index, predecessor granule -> groups it credits
+        self._counts: np.ndarray | None = None
+        self._fired: np.ndarray | None = None
         self._index_offsets: np.ndarray | None = None
         self._index_gids: np.ndarray | None = None
-        # indexed counter state: outstanding-credit count and fired flag
-        # per composite group, None unless the index is built
-        self._counts: np.ndarray | None = None
-        self._group_fired: np.ndarray | None = None
 
         if mapping.kind.indirect:
             build = composite_cache.build if composite_cache is not None else CompositeGranuleMap.build
-            self.composite = build(
+            cmap = self.composite = build(
                 mapping, n_pred, n_succ, maps, group_size=group_size, target=target
             )
-            for g in self.composite.groups:
-                self._counters.append((g.successors, EnablementCounter(g.required)))
             # successor granules outside the targeted subset wait for phase end
-            self._deferred = self._succ_universe - self.composite.covered
-            # groups with empty requirements are enabled immediately
-            initially = [succ for succ, counter in self._counters if counter.fired]
-            if initially:
-                self._enabled = GranuleSet.union_all(initially)
-            if indexed:
-                self._build_index()
-                self._counts = np.array(
-                    [counter.count for _, counter in self._counters], dtype=np.int64
-                )
-                self._group_fired = np.array(
-                    [counter.fired for _, counter in self._counters], dtype=bool
-                )
+            self._deferred = self._succ_universe - cmap.covered
+            if cmap.n_groups:
+                self._build_counters(cmap)
         else:
             self._enabled = mapping.enabled_by(self.completed, n_pred, n_succ, maps)
 
-    def _build_index(self) -> None:
-        """Invert the composite map: predecessor granule -> group ids.
+    def _build_counters(self, cmap: CompositeGranuleMap) -> None:
+        """One counter per group, and the inverted index that credits them.
 
-        The paper's completion processing checks "a status bit" per
-        completed granule; the CSR layout here is that status check —
-        ``notify(delta)`` touches only the groups ``delta`` credits
-        instead of scanning every enablement counter.
+        A counter starts at its group's requirement size.  The index maps
+        each predecessor granule to the groups it credits: the paper's
+        completion processing checks "a status bit" per completed
+        granule, and with the CSR layout ``notify(delta)`` touches only
+        the groups ``delta`` credits instead of scanning every counter.
+        The ``(pred, group)`` pairs are distinct, so one sort of ``pred *
+        n_groups + group`` orders them predecessor-major.
         """
-        # expand every required range to (pred granule, group id) pairs
-        preds, entry_gids = group_index_arrays(
-            [counter.required for _, counter in self._counters]
-        )
-        order = np.argsort(preds, kind="stable")
-        sorted_preds = preds[order]
-        self._index_gids = entry_gids[order]
-        self._index_offsets = np.searchsorted(
-            sorted_preds, np.arange(self.n_pred + 1, dtype=np.int64)
-        )
+        preds, gids = cmap.required.expand()
+        n_groups = cmap.n_groups
+        self._counts = np.bincount(gids, minlength=n_groups)
+        self._fired = self._counts == 0
+        # groups with empty requirements are enabled immediately
+        self._enabled = cmap.successors.take(np.flatnonzero(self._fired)).union()
+        self._index_gids = np.sort(preds * n_groups + gids) % n_groups
+        per_pred = np.bincount(preds, minlength=self.n_pred)
+        self._index_offsets = np.concatenate(([0], np.cumsum(per_pred)))
 
     @property
     def enabled(self) -> GranuleSet:
@@ -451,16 +389,8 @@ class EnablementEngine:
             # unchanged, so the deferred release below cannot trigger
             return GranuleSet.empty()
         self.completed = self.completed | delta
-        newly = GranuleSet.empty()
-        if self._counters:
-            if self._counts is not None:
-                newly = self._notify_indexed(fresh)
-            else:
-                fired = [
-                    succ for succ, counter in self._counters if counter.on_complete(fresh)
-                ]
-                if fired:
-                    newly = GranuleSet.union_all(fired)
+        if self._counts is not None:
+            newly = self._credit(fresh)
             if self._deferred and len(self.completed) >= self.n_pred:
                 newly = newly | self._deferred
                 self._deferred = GranuleSet.empty()
@@ -470,7 +400,7 @@ class EnablementEngine:
         self._enabled = self._enabled | newly
         return newly
 
-    def _notify_indexed(self, fresh: GranuleSet) -> GranuleSet:
+    def _credit(self, fresh: GranuleSet) -> GranuleSet:
         """Credit ``fresh`` completions in bulk through the inverted index.
 
         The index enumerates each ``(predecessor granule, group)`` pair
@@ -480,9 +410,9 @@ class EnablementEngine:
         delta lands in a single vectorized subtraction.
         """
         offsets, gids = self._index_offsets, self._index_gids
-        counts, fired_mask = self._counts, self._group_fired
-        assert offsets is not None and gids is not None
-        assert counts is not None and fired_mask is not None
+        counts, fired, cmap = self._counts, self._fired, self.composite
+        assert offsets is not None and gids is not None and cmap is not None
+        assert counts is not None and fired is not None
         parts: list[np.ndarray] = []
         for s, e in fresh.spans():
             lo = offsets[min(max(s, 0), self.n_pred)]
@@ -493,16 +423,11 @@ class EnablementEngine:
             return GranuleSet.empty()
         touched = np.concatenate(parts) if len(parts) > 1 else parts[0]
         counts -= np.bincount(touched, minlength=len(counts))
-        newly_fired = np.nonzero((counts <= 0) & ~fired_mask)[0]
+        newly_fired = np.flatnonzero((counts <= 0) & ~fired)
         if newly_fired.size == 0:
             return GranuleSet.empty()
-        fired_mask[newly_fired] = True
-        fired: list[GranuleSet] = []
-        for gi in newly_fired:
-            succ, counter = self._counters[gi]
-            counter.fired = True
-            fired.append(succ)
-        return GranuleSet.union_all(fired)
+        fired[newly_fired] = True
+        return cmap.successors.take(newly_fired).union()
 
     def complete_all(self) -> GranuleSet:
         """Force phase completion; returns whatever was still pending."""

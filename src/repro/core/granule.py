@@ -23,11 +23,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress
 from operator import gt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-__all__ = ["GranuleRange", "GranuleSet", "group_index_arrays", "split_runs"]
+__all__ = ["GranuleRange", "GranuleSet", "GroupRuns"]
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -133,7 +133,7 @@ class GranuleSet:
         in a mask or a sorted id array: ascending, non-empty and separated
         by gaps.  Nothing is merged.
         """
-        (out,) = split_runs(starts, stops, (0, len(starts)))
+        (out,) = GroupRuns(np.array([0, len(starts)]), starts, stops).sets()
         return out
 
     @classmethod
@@ -304,44 +304,105 @@ class GranuleSet:
         return f"GranuleSet({body})"
 
 
-def split_runs(starts: np.ndarray, stops: np.ndarray, cuts) -> list[GranuleSet]:
-    """One set per group from runs listed group by group.
+class GroupRuns(NamedTuple):
+    """The granule sets of many groups as flat arrays (CSR).
 
-    Group ``k`` owns the runs ``cuts[k]:cuts[k + 1]``, which must be
-    ascending, non-empty and separated by gaps, as for
-    :meth:`GranuleSet.from_runs`.  The starts and stops are interleaved
-    into one numpy array once; each group converts only its own slice to
-    Python ints.
+    Group ``g`` owns the runs ``[starts[k], stops[k])`` for ``k`` in
+    ``offsets[g]:offsets[g + 1]``; a group's runs are ascending, non-empty
+    and separated by gaps, as for :meth:`GranuleSet.from_runs`.  Thousands
+    of groups cost three arrays, not thousands of sets; :meth:`sets`
+    builds the sets for the readers that want them.
     """
-    bounds = np.empty(2 * len(starts), dtype=np.int64)
-    bounds[0::2] = starts
-    bounds[1::2] = stops
-    edges = (2 * np.asarray(cuts, dtype=np.int64)).tolist()
-    out: list[GranuleSet] = []
-    for lo, hi in zip(edges, edges[1:]):
-        b = tuple(bounds[lo:hi].tolist())
-        out.append(_new(b, _width(b)))
-    return out
+
+    offsets: np.ndarray
+    starts: np.ndarray
+    stops: np.ndarray
+
+    @classmethod
+    def chunks(cls, space: GranuleSet, size: int) -> "GroupRuns":
+        """``space`` cut front to back into groups of ``size`` granules.
+
+        The last group may be short.  Two spaces that agree on a granule
+        prefix get identical leading groups.
+        """
+        b = np.array(space._b, dtype=np.int64)
+        starts, lens = b[0::2], b[1::2] - b[0::2]
+        first = np.cumsum(lens) - lens  # rank in ``space`` of each range's first granule
+        n = space._size
+        # a run starts at every range start and at every multiple of size,
+        # counted in rank; a run never crosses either
+        cuts = np.sort(np.concatenate((first, np.arange(0, n, size))))
+        cuts = cuts[np.diff(cuts, prepend=-1) != 0]
+        rng = np.searchsorted(first, cuts, side="right") - 1
+        lo = starts[rng] + (cuts - first[rng])
+        offsets = np.searchsorted(cuts // size, np.arange(-(-n // size) + 1))
+        return cls(offsets, lo, lo + np.diff(cuts, append=n))
+
+    @classmethod
+    def from_sets(cls, sets: list[GranuleSet]) -> "GroupRuns":
+        """One group per set, with every set's boundaries read in one pass."""
+        bounds = [s._b for s in sets]
+        n_bounds = np.fromiter(map(len, bounds), dtype=np.int64, count=len(bounds))
+        flat = np.fromiter(chain.from_iterable(bounds), dtype=np.int64, count=int(n_bounds.sum()))
+        offsets = np.concatenate(([0], np.cumsum(n_bounds // 2)))
+        return cls(offsets, flat[0::2], flat[1::2])
+
+    @property
+    def n_groups(self) -> int:
+        return len(self.offsets) - 1
+
+    def expand(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every ``(granule, group)`` pair as two parallel arrays.
+
+        Group by group, ascending within each group.
+        """
+        lens = self.stops - self.starts
+        run_groups = np.repeat(np.arange(self.n_groups), np.diff(self.offsets))
+        return _concat_ranges(self.starts, lens), np.repeat(run_groups, lens)
+
+    def take(self, rows: np.ndarray) -> "GroupRuns":
+        """The groups ``rows``, in that order."""
+        first = self.offsets[rows]
+        lens = self.offsets[rows + 1] - first
+        runs = _concat_ranges(first, lens)
+        offsets = np.concatenate(([0], np.cumsum(lens)))
+        return GroupRuns(offsets, self.starts[runs], self.stops[runs])
+
+    @staticmethod
+    def concat(a: "GroupRuns", b: "GroupRuns") -> "GroupRuns":
+        """The groups of ``a`` followed by those of ``b``."""
+        return GroupRuns(
+            np.concatenate((a.offsets[:-1], b.offsets + a.offsets[-1])),
+            np.concatenate((a.starts, b.starts)),
+            np.concatenate((a.stops, b.stops)),
+        )
+
+    def union(self) -> GranuleSet:
+        """Every granule of every group, as one set."""
+        return _from_spans(self.starts.tolist(), self.stops.tolist())
+
+    def find_in(self, other: "GroupRuns") -> np.ndarray:
+        """For each group, the index of an equal group of ``other``, else -1."""
+        where = {b: g for g, b in enumerate(other._bounds())}
+        return np.array([where.get(b, -1) for b in self._bounds()], dtype=np.int64)
+
+    def sets(self) -> list[GranuleSet]:
+        """One set per group."""
+        return [_new(b, _width(b)) for b in self._bounds()]
+
+    def _bounds(self) -> list[tuple[int, ...]]:
+        """Each group's boundary tuple, converted to Python ints in one pass."""
+        bounds = np.empty(2 * len(self.starts), dtype=np.int64)
+        bounds[0::2] = self.starts
+        bounds[1::2] = self.stops
+        flat, edges = bounds.tolist(), (2 * self.offsets).tolist()
+        return [tuple(flat[lo:hi]) for lo, hi in zip(edges, edges[1:])]
 
 
-def group_index_arrays(groups: list[GranuleSet]) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten sets to parallel (granule index, group id) arrays.
-
-    Indices come out group by group, ascending within each group.  Every
-    set's boundaries go into one array in a single :func:`numpy.fromiter`
-    pass; the ranges expand to granules in numpy.
-    """
-    bounds = [g._b for g in groups]
-    n_bounds = np.fromiter(map(len, bounds), dtype=np.int64, count=len(bounds))
-    flat = np.fromiter(chain.from_iterable(bounds), dtype=np.int64, count=int(n_bounds.sum()))
-    starts, stops = flat[0::2], flat[1::2]
-    lens = stops - starts
-    total = int(lens.sum())
-    # position of each granule within its range, plus the range's start
-    offset = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
-    idx = np.repeat(starts, lens) + offset
-    range_gids = np.repeat(np.arange(len(groups), dtype=np.int64), n_bounds // 2)
-    return idx, np.repeat(range_gids, lens)
+def _concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``arange(starts[k], starts[k] + lens[k])`` for every ``k``, concatenated."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - (ends - lens), lens) + np.arange(int(lens.sum()))
 
 
 def _new(bounds: tuple[int, ...], size: int) -> GranuleSet:

@@ -105,9 +105,13 @@ class ExecutedTask:
 #: Parsed task labels, shared across sanitize calls: labels are
 #: program-stable strings, so repeated runs of one program (the
 #: ``--sanitize`` benchmark shape) re-parse nothing.  Cleared wholesale
-#: at the cap to bound a long-lived process sweeping many programs.
+#: once its labels pass ``_LABEL_MEMO_MAX`` characters in all.  A count
+#: cap does not bound it: a successor task of an indirect mapping can
+#: cover a hundred ranges, and runs with other maps share no label, so
+#: sanitizing each op of the 50,000-granule reverse-indirect benchmark
+#: grew the process by 0.37 MB.
 _LABEL_MEMO: dict[str, tuple[str, int, tuple[tuple[int, int], ...]] | None] = {}
-_LABEL_MEMO_MAX = 200_000
+_LABEL_MEMO_MAX = 250_000
 
 
 def tasks_from_records(records: Iterable[LogRecord]) -> tuple[list[ExecutedTask], list[str]]:
@@ -117,6 +121,8 @@ def tasks_from_records(records: Iterable[LogRecord]) -> tuple[list[ExecutedTask]
     notes: list[str] = []
     seq = 0
     label_cache = _LABEL_MEMO
+    if sum(map(len, label_cache)) > _LABEL_MEMO_MAX:
+        label_cache.clear()
     # locals instead of per-record enum attribute loads: this loop visits
     # every trace record and sits on the --sanitize critical path
     task_start, task_end, task_lost = (
@@ -130,8 +136,6 @@ def tasks_from_records(records: Iterable[LogRecord]) -> tuple[list[ExecutedTask]
         try:
             parsed = label_cache[label]
         except KeyError:
-            if len(label_cache) >= _LABEL_MEMO_MAX:
-                label_cache.clear()
             parsed = label_cache[label] = parse_task_label(label)
         if parsed is None:
             notes.append(f"unparseable task label {label!r} on {r.subject}")

@@ -139,6 +139,7 @@ class Simulator:
     >>> _ = sim.schedule(2.0, lambda: order.append("b"))
     >>> _ = sim.schedule(1.0, lambda: order.append("a"))
     >>> sim.run()
+    2.0
     >>> order
     ['a', 'b']
     >>> sim.now

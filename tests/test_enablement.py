@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.enablement import CompositeGranuleMap, CompositeGroup, EnablementCounter, EnablementEngine
+from repro.core import granule
+from repro.core.enablement import CompositeGranuleMap, CompositeGroup, EnablementEngine
 from repro.core.granule import GranuleSet
 from repro.core.mapping import (
     ForwardIndirectMapping,
@@ -16,6 +17,7 @@ from repro.core.mapping import (
     SeamMapping,
     UniversalMapping,
 )
+from tests.enablement_reference import EnablementCounter, ScanEngine
 
 
 class TestEnablementCounter:
@@ -198,7 +200,7 @@ def test_indexed_notify_matches_full_scan(
 ):
     """The inverted predecessor->group index is a pure optimization: at
     every step it enables exactly what the full-counter-scan reference
-    path (``indexed=False``) enables."""
+    (``tests/enablement_reference.py``) enables."""
     rng = np.random.default_rng(seed)
     if kind == "reverse":
         maps = {"M": rng.integers(0, n_pred, size=(fan_in, n_succ))}
@@ -207,9 +209,7 @@ def test_indexed_notify_matches_full_scan(
         maps = {"F": rng.integers(0, max(n_succ, 1), size=n_pred)}
         mapping = ForwardIndirectMapping("F")
     fast = EnablementEngine(mapping, n_pred, n_succ, maps, group_size=group_size)
-    scan = EnablementEngine(
-        mapping, n_pred, n_succ, maps, group_size=group_size, indexed=False
-    )
+    scan = ScanEngine(mapping, n_pred, n_succ, maps, group_size=group_size)
     assert fast.initially_enabled() == scan.initially_enabled()
     completed = GranuleSet.empty()
     for step in steps:
@@ -239,7 +239,7 @@ def test_vectorized_notify_matches_both_references(
 ):
     """The ``np.bincount`` bulk-credit path against two references, with a
     restricted target subset (deferred release): it enables exactly what
-    the full-counter scan (``indexed=False``) enables at every step, and
+    the full-counter scan (``ScanEngine``) enables at every step, and
     until the last predecessor completes it stays within direct mapping
     evaluation restricted to the target — equal to it with
     single-granule groups, since grouped counters fire later by design."""
@@ -254,11 +254,8 @@ def test_vectorized_notify_matches_both_references(
     vec = EnablementEngine(
         mapping, n_pred, n_succ, maps, group_size=group_size, target=target
     )
-    scan = EnablementEngine(
-        mapping, n_pred, n_succ, maps, group_size=group_size, target=target,
-        indexed=False,
-    )
-    assert vec._counts is not None and scan._counts is None
+    scan = ScanEngine(mapping, n_pred, n_succ, maps, group_size=group_size, target=target)
+    assert vec._counts is not None
     assert vec.initially_enabled() == scan.initially_enabled()
     completed = GranuleSet.empty()
     for step in [set()] + steps:
@@ -283,12 +280,12 @@ class TestVectorizedEngineEdges:
         e = EnablementEngine(ReverseIndirectMapping("M", fan_in=1), 6, 6, maps)
         assert e._counts is not None
         e.notify(GranuleSet.from_ranges([(0, 3)]))
-        assert [c.fired for _, c in e._counters] == [True] * 3 + [False] * 3
-        assert list(e._group_fired) == [True] * 3 + [False] * 3
+        assert list(e._counts) == [0] * 3 + [1] * 3
+        assert list(e._fired) == [True] * 3 + [False] * 3
 
     def test_direct_mapping_has_no_vector_state(self):
         e = EnablementEngine(IdentityMapping(), 5, 5)
-        assert e._counts is None and e._group_fired is None
+        assert e._counts is None and e._fired is None
 
 
 class TestIndexedEngineEdges:
@@ -313,3 +310,54 @@ class TestIndexedEngineEdges:
         before = e.pending
         e.notify(GranuleSet.from_ids([2]))
         assert e.pending == before - GranuleSet.from_ids([2])
+
+
+# ------------------------------------------------------ no per-group objects
+class TestArrayBuild:
+    def test_groups_built_only_when_read(self):
+        maps = {"M": np.array([[0, 1, 2, 3], [1, 2, 3, 0]])}
+        cm = CompositeGranuleMap.build(ReverseIndirectMapping("M", fan_in=2), 4, 4, maps)
+        assert cm._groups is None
+        assert cm.total_required() == 8 and cm.n_groups == 4
+        assert cm.groups[1] == CompositeGroup(GranuleSet.from_ids([1]), GranuleSet.from_ids([1, 2]))
+        assert cm.groups is cm.groups
+
+    def test_hand_assembled_map_matches_its_groups(self):
+        groups = [
+            CompositeGroup(GranuleSet.from_ranges([(4, 6)]), GranuleSet.from_ids([0, 2])),
+            CompositeGroup(GranuleSet.from_ids([0, 2]), GranuleSet.empty()),
+        ]
+        cm = CompositeGranuleMap(groups)
+        assert cm.groups == groups
+        assert cm.covered == GranuleSet.from_ids([0, 2, 4, 5])
+        assert cm.total_required() == 2
+        assert cm.required_union() == GranuleSet.from_ids([0, 2])
+
+    def test_engine_build_at_benchmark_shape_makes_few_sets(self, monkeypatch):
+        """Building the engine for a 50,000-granule fan-in-4 reverse-indirect
+        link (the ``indirect-enable`` benchmark shape, 6,250 groups of 8)
+        makes a handful of sets, not one or more per group."""
+        n, fan_in, group_size = 50_000, 4, 8
+        built = []
+        new, init = granule._new, GranuleSet.__init__
+
+        def counting_new(bounds, size):
+            built.append(size)
+            return new(bounds, size)
+
+        def counting_init(self, ranges=()):
+            built.append(None)
+            init(self, ranges)
+
+        monkeypatch.setattr(granule, "_new", counting_new)
+        monkeypatch.setattr(GranuleSet, "__init__", counting_init)
+        GranuleSet.universe(3)
+        GranuleSet()
+        assert len(built) == 2, "patch inactive"
+        built.clear()
+        maps = {"M": np.random.default_rng(0).integers(0, n, size=(fan_in, n))}
+        e = EnablementEngine(
+            ReverseIndirectMapping("M", fan_in=fan_in), n, n, maps, group_size=group_size
+        )
+        assert e.composite is not None and e.composite._groups is None
+        assert len(built) <= 16, f"{len(built)} sets for {e.composite.n_groups} groups"

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.granule import GranuleSet, group_index_arrays, split_runs
+from repro.core.granule import GranuleSet, GroupRuns
 
 UNIVERSE = 120
 
@@ -99,22 +99,43 @@ def test_from_sorted_ids_matches_model(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_group_helpers_match_model(seed):
-    """``group_index_arrays`` lists every (group, granule) pair in order, and
-    ``split_runs`` rebuilds each group from its runs listed group by group."""
+    """``GroupRuns`` keeps every group: ``expand`` lists every (granule,
+    group) pair in order, ``sets`` rebuilds each group, and ``take``,
+    ``concat``, ``union`` and ``find_in`` agree with the per-set model."""
     rng = np.random.default_rng(seed + 4000)
     groups = [random_set(rng) for _ in range(int(rng.integers(0, 6)))]
-    idx, gids = group_index_arrays(groups)
+    runs = GroupRuns.from_sets(groups)
+    assert runs.n_groups == len(groups)
+    idx, gids = runs.expand()
     want = [(g, i) for g, s in enumerate(groups) for i in s]
     assert list(zip(gids.tolist(), idx.tolist())) == want
 
-    runs = np.array(
-        [(g, s, e) for g, grp in enumerate(groups) for s, e in grp.spans()], dtype=np.int64
-    ).reshape(-1, 3)
-    cuts = np.searchsorted(runs[:, 0], np.arange(len(groups) + 1))
-    rebuilt = split_runs(runs[:, 1], runs[:, 2], cuts)
+    rebuilt = runs.sets()
     assert rebuilt == groups
     for got, grp in zip(rebuilt, groups):
         assert_matches_model(got, set(grp))
+
+    rows = rng.integers(0, max(len(groups), 1), size=int(rng.integers(0, 8)) if groups else 0)
+    assert runs.take(rows).sets() == [groups[r] for r in rows]
+    assert GroupRuns.concat(runs, runs.take(rows)).sets() == groups + [groups[r] for r in rows]
+    assert_matches_model(runs.union(), set().union(*map(set, groups)))
+    others = [random_set(rng) for _ in range(3)] + groups[::2]
+    found = runs.find_in(GroupRuns.from_sets(others)).tolist()
+    for g, row in zip(groups, found):
+        assert others[row] == g if row >= 0 else g not in others
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_chunks_match_take_loop(seed):
+    """``GroupRuns.chunks`` cuts a set front to back exactly as repeated
+    ``take`` does."""
+    rng = np.random.default_rng(seed + 5000)
+    space, size = random_set(rng), int(rng.integers(1, 10))
+    want, rest = [], space
+    while rest:
+        head, rest = rest.take(size)
+        want.append(head)
+    assert GroupRuns.chunks(space, size).sets() == want
 
 
 def test_adjacency_merge_edges():

@@ -14,8 +14,12 @@ property.  For every generated run that finishes (does not raise
 
 The generator covers all seven bundled workloads (all six mapping
 kinds), both executive placements, one to three executives, the three
-split strategies, the lateral hand-off, data-proximity and remote-penalty
-extensions, and transient, straggler and crash fault plans.
+split strategies, composite-map group sizes, target fractions and
+priority elevation, the lateral hand-off, data-proximity and
+remote-penalty extensions, and transient, straggler and crash fault
+plans.  A second property runs the indirect-mapping and lateral-hand-off
+workloads with at least one processor crash in every example: a coin-flip
+crash once hid a crash-orphan double execution from 2,400 examples.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from repro.sweep.runner import build_workload, workload_names
 
 
 @st.composite
-def fault_plans(draw, workers: int, first_crashable: int):
+def fault_plans(draw, workers: int, first_crashable: int, crash: bool = False):
+    """A fault plan; with ``crash`` it always crashes one or two processors."""
     faults = []
     if draw(st.booleans()):
         faults.append(TransientGranuleError(draw(st.sampled_from([0.02, 0.05, 0.1]))))
@@ -54,7 +59,11 @@ def fault_plans(draw, workers: int, first_crashable: int):
                 draw(st.sampled_from([0.0, 20.0])),
             )
         )
-    if first_crashable < workers and draw(st.booleans()):
+    if crash:
+        crashes = draw(st.integers(1, 2))
+    else:
+        crashes = int(first_crashable < workers and draw(st.booleans()))
+    for _ in range(crashes):
         faults.append(
             ProcessorCrash(
                 draw(st.integers(first_crashable, workers - 1)),
@@ -65,16 +74,21 @@ def fault_plans(draw, workers: int, first_crashable: int):
 
 
 @st.composite
-def run_configs(draw):
-    workers = draw(st.integers(1, 12))
+def run_configs(draw, crash: bool = False):
+    """Workers and ``run_program`` keywords; ``crash`` forces a crash plan."""
+    workers = draw(st.integers(2 if crash else 1, 12))
     placement = draw(st.sampled_from(list(ExecutivePlacement)))
-    executives = draw(st.integers(1, min(3, workers)))
+    # a crash needs a worker that hosts no executive
+    executives = draw(st.integers(1, min(3, workers - 1 if crash else workers)))
     kw = {
         "seed": draw(st.integers(0, 50)),
         "placement": placement,
         "config": OverlapConfig(
             policy=draw(st.sampled_from(list(OverlapPolicy))),
             split_strategy=draw(st.sampled_from(list(SplitStrategy))),
+            elevate_enabling_granules=draw(st.booleans()),
+            composite_group_size=draw(st.integers(1, 64)),
+            target_fraction=draw(st.floats(0.1, 1.0)),
         ),
         "sizer": TaskSizer(
             tasks_per_processor=draw(st.sampled_from([1.0, 2.0, 4.0, 8.0]))
@@ -87,10 +101,10 @@ def run_configs(draw):
             remote_penalty=draw(st.sampled_from([1.0, 1.5])),
         ),
     }
-    if draw(st.booleans()):
+    if crash or draw(st.booleans()):
         # shared placement hosts executive i on worker i, which may not crash
         hosts = executives if placement is ExecutivePlacement.SHARED else 0
-        kw["faults"] = draw(fault_plans(workers, hosts))
+        kw["faults"] = draw(fault_plans(workers, hosts, crash))
         kw["recovery"] = RecoveryPolicy(watchdog_timeout=25.0)
     return workers, kw
 
@@ -118,6 +132,17 @@ def check_run(workload: str, workers: int, **kw):
 @given(workload=st.sampled_from(workload_names()), config=run_configs())
 def test_overlap_order_and_exactly_once(workload, config):
     workers, kw = config
+    check_run(workload, workers, **kw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    workload=st.sampled_from(["reverse-indirect", "casper", "particles"]),
+    config=run_configs(crash=True),
+)
+def test_overlap_order_and_exactly_once_under_crashes(workload, config):
+    workers, kw = config
+    assert any(isinstance(f, ProcessorCrash) for f in kw["faults"].faults)
     check_run(workload, workers, **kw)
 
 
