@@ -17,9 +17,9 @@ kinds), both executive placements, one to three executives, the three
 split strategies, composite-map group sizes, target fractions and
 priority elevation, the lateral hand-off, data-proximity and
 remote-penalty extensions, and transient, straggler and crash fault
-plans.  A second property runs the indirect-mapping and lateral-hand-off
-workloads with at least one processor crash in every example: a coin-flip
-crash once hid a crash-orphan double execution from 2,400 examples.
+plans.  A second property runs reverse-indirect, casper and particles
+with at least one processor crash in every example: with a crash only on
+a coin flip, 2,400 examples once missed a crash-orphan double execution.
 """
 
 from __future__ import annotations
