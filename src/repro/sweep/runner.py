@@ -703,7 +703,14 @@ def run_pool_tasks(
                     while idx < len(pending) and len(waiting) < width:
                         key = pending[idx]
                         fn, args = prepare(key)
-                        fut = executor.submit(fn, *args)
+                        try:
+                            fut = executor.submit(fn, *args)
+                        except OSError as exc:
+                            # a submit racing the executor's own teardown
+                            # after a worker death: CPython 3.11 marks the
+                            # pool broken without the submit lock, so the
+                            # submit can reach the closed call queue instead
+                            raise BrokenProcessPool(str(exc)) from exc
                         futs[fut] = key
                         waiting.add(fut)
                         if supervisor is not None:

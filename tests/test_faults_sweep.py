@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -49,6 +50,23 @@ class TestWorkerKills:
         plan = FaultPlan(faults=(SweepWorkerKill(0), SweepWorkerKill(3)))
         outcome = run_sweep(SPEC, workers=2, fault_plan=plan, max_restarts=4)
         assert outcome.report.to_json() == reference_json()
+
+    def test_submit_racing_a_broken_pool_restarts(self, monkeypatch):
+        # a worker death can close the executor's call queue while a
+        # submit is spawning a replacement worker, which raises OSError
+        real = ProcessPoolExecutor.submit
+        calls = []
+
+        def submit(self, fn, *args, **kwargs):
+            calls.append(fn)
+            if len(calls) == 2:
+                raise OSError("handle is closed")
+            return real(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        outcome = run_sweep(SPEC, workers=2, batch_size=1)
+        assert outcome.report.to_json() == reference_json()
+        assert outcome.worker_restarts == 1
 
     def test_restart_cap_escalates(self):
         plan = FaultPlan(faults=(SweepWorkerKill(1),))
