@@ -225,7 +225,7 @@ def bench_sweep_scaling() -> dict:
         "speedup": speedup,
         "cold_speedup": serial.elapsed_seconds / cold.elapsed_seconds,
         "parallel_efficiency": speedup / available,
-        "batch_size": warm.batch_size,
+        "batch_size": warm.chunk_size,
         "pool_reused": warm.pool_reused,
         "effective_workers": effective_workers_from_events(events),
         "warmup_seconds_on_reused_pool": warmup_seconds,

@@ -2,7 +2,7 @@
 
 The tentpole claim of the shared-memory plane: dispatching a grid cell to
 a pool worker costs O(1) pickle bytes instead of O(map size).  This bench
-measures the *actual* submitted payloads — the ``(base spec, chunk,
+measures the *actual* submitted payloads — the ``(base spec, units,
 maps payload, ...)`` argument tuple exactly as ``run_grid`` submits it —
 for a reverse-indirect workload whose concrete selection map holds over
 a million entries, both inline (arrays ride the pickle) and through
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.sweep import SweepSpec
+from repro.sweep import SweepSpec, grid_cell_seed
 from repro.sweep.shm import SharedMapStore
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
@@ -40,12 +40,18 @@ MIN_BYTES_RATIO = 10.0
 
 
 def _chunk_args(maps_payload) -> tuple:
-    """The argument tuple ``run_grid`` submits for one chunk of cells."""
+    """The argument tuple ``run_grid`` submits for one batch of four cells:
+    ``(base spec, (id, label, point, seed) units, maps payload, attach,
+    chaos verdict, instrument)``."""
     base = SweepSpec(
         "reverse-indirect", replications=2, seed=7, params={"n": N, "fan_in": FAN_IN}
     )
-    chunk = [(i, {"sim_workers": 4}, i % 2) for i in range(4)]
-    return (base.to_dict(), chunk, maps_payload, True, False, 0)
+    point = {"sim_workers": 4}
+    units = [
+        (c, {"cell": c, "point": point, "replication": c % 2}, point, grid_cell_seed(7, point, c % 2))
+        for c in range(4)
+    ]
+    return (base.to_dict(), units, maps_payload, True, None, False)
 
 
 def bench_shm_transfer() -> dict:

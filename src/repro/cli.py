@@ -644,73 +644,84 @@ def _cmd_stats(args, out) -> int:
     return 0
 
 
-def _cmd_stats_sweep(args, out) -> int:
-    """Aggregate a saved sweep (or grid) report into a labelled snapshot."""
+def _load_sweep_report(path: str):
+    """The sweep or grid report saved at ``path``.
+
+    Raises ValueError unless the file holds a JSON object with a ``spec``
+    object and a ``replications`` or ``cells`` list (``cells`` wins).
+    """
     import json as _json
 
-    from repro.obs import MetricsRegistry, record_sweep_metrics, render_snapshot
-    from repro.sweep import SweepReport
+    with open(path, "r", encoding="utf-8") as fh:
+        data = _json.load(fh)
+    if not isinstance(data, dict) or not isinstance(data.get("spec"), dict):
+        raise ValueError(f"{path} is not a sweep or grid report (no spec object)")
+    if isinstance(data.get("cells"), list):
+        from repro.sweep import GridReport
 
+        return GridReport(spec=data["spec"], cells=data["cells"])
+    if isinstance(data.get("replications"), list):
+        from repro.sweep import SweepReport
+
+        return SweepReport(spec=data["spec"], replications=data["replications"])
+    raise ValueError(f"{path} is not a sweep or grid report (no replications or cells list)")
+
+
+def _cmd_stats_sweep(args, out) -> int:
+    """Aggregate a saved sweep (or grid) report into a labelled snapshot:
+    sweep-wide figures, or a per-point table for a grid."""
+    from repro.obs import MetricsRegistry, record_grid_metrics, record_sweep_metrics, render_snapshot
+
+    registry = MetricsRegistry()
     try:
-        with open(args.sweep, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if "cells" in _json.loads(text):
-            return _cmd_stats_grid(args, text, out)
-        report = SweepReport.from_json(text)
-    except (OSError, ValueError, KeyError) as exc:
+        report = _load_sweep_report(args.sweep)
+        grid = hasattr(report, "cells")
+        if grid:
+            workload = report.spec.get("base", {}).get("workload")
+            rows = report.aggregate_by_point()
+            record_grid_metrics(report, registry)
+        else:
+            workload = report.spec.get("workload")
+            agg = report.aggregate()
+            record_sweep_metrics(report, registry)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    agg = report.aggregate()
-    spec = report.spec
-    print(f"sweep        : {spec.get('workload')} x{agg.get('replications', 0)}", file=out)
-    print(f"mean util    : {agg.get('utilization_mean', 0.0):.1%}", file=out)
-    print(
-        f"util range   : {agg.get('utilization_min', 0.0):.1%}"
-        f" .. {agg.get('utilization_max', 0.0):.1%}",
-        file=out,
-    )
-    print(f"mean makespan: {agg.get('makespan_mean', 0.0):.2f}", file=out)
-    print(
-        f"overlaps     : {agg.get('overlaps_admitted', 0)}"
-        f"/{agg.get('overlaps_considered', 0)} admitted",
-        file=out,
-    )
-    registry = MetricsRegistry()
-    record_sweep_metrics(report, registry)
+    if grid:
+        print(
+            f"grid         : {workload} — {len(rows)} points, {len(report.cells)} cells",
+            file=out,
+        )
+        _print_point_table(rows, out)
+    else:
+        print(f"sweep        : {workload} x{agg.get('replications', 0)}", file=out)
+        print(f"mean util    : {agg.get('utilization_mean', 0.0):.1%}", file=out)
+        print(
+            f"util range   : {agg.get('utilization_min', 0.0):.1%}"
+            f" .. {agg.get('utilization_max', 0.0):.1%}",
+            file=out,
+        )
+        print(f"mean makespan: {agg.get('makespan_mean', 0.0):.2f}", file=out)
+        print(
+            f"overlaps     : {agg.get('overlaps_admitted', 0)}"
+            f"/{agg.get('overlaps_considered', 0)} admitted",
+            file=out,
+        )
     print("\nmetrics snapshot", file=out)
     print(render_snapshot(registry.snapshot()), file=out)
     return _export_metrics(args, registry, out)
 
 
-def _cmd_stats_grid(args, text: str, out) -> int:
-    """Aggregate a saved grid report: per-point table + axis-labelled snapshot."""
-    from repro.obs import MetricsRegistry, record_grid_metrics, render_snapshot
-    from repro.sweep import GridReport
-
-    try:
-        report = GridReport.from_json(text)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    base = report.spec.get("base", {})
-    print(
-        f"grid         : {base.get('workload')} — "
-        f"{len(report.points())} points, {len(report.cells)} cells",
-        file=out,
-    )
+def _print_point_table(rows, out) -> None:
+    """The per-point aggregate table of a grid report."""
     print("\nper-point aggregates", file=out)
-    for agg in report.aggregate_by_point():
+    for agg in rows:
         point = " ".join(f"{k}={v}" for k, v in agg["point"].items())
         print(
             f"  {point:<44} util {agg['utilization_mean']:7.1%}"
             f"  makespan {agg['makespan_mean']:9.2f}",
             file=out,
         )
-    registry = MetricsRegistry()
-    record_grid_metrics(report, registry)
-    print("\nmetrics snapshot", file=out)
-    print(render_snapshot(registry.snapshot()), file=out)
-    return _export_metrics(args, registry, out)
 
 
 def _parse_param(binding: str):
@@ -871,6 +882,8 @@ def _write_profile_report(args, profiler, what, outcome, meta, out) -> int:
 
 
 def _cmd_sweep(args, out) -> int:
+    """``repro sweep``: a replication fan, or with ``--grid AXIS=v1,v2`` a
+    parameter grid (a fan is a grid with one empty point)."""
     from repro.sweep import SweepSpec, run_sweep
 
     try:
@@ -891,162 +904,87 @@ def _cmd_sweep(args, out) -> int:
     if args.resume and not args.manifest:
         print("error: --resume requires --manifest", file=sys.stderr)
         return 2
-    if args.grid_axes:
-        return _cmd_sweep_grid(args, spec, out)
-    if args.share_maps:
+    if args.share_maps and not args.grid_axes:
         print("error: --share-maps requires --grid", file=sys.stderr)
         return 2
+    grid = shared = None
+    if args.grid_axes:
+        from repro.sweep import GridSpec, materialize_maps, parse_axis, run_grid
+
+        try:
+            grid = GridSpec(base=spec, axes=tuple(parse_axis(t) for t in args.grid_axes))
+            shared = materialize_maps(grid) if args.share_maps else None
+        except (TypeError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if args.share_maps and not shared:
+            print("note: workload declares no selection maps; nothing to share", file=out)
+    units = spec.replications if grid is None else grid.n_cells
     try:
-        fault_plan, supervision = _sweep_faults(args, spec.replications)
+        fault_plan, supervision = _sweep_faults(args, units)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     profiler, bus, reporter = _sweep_instrumentation(args)
+    options = dict(
+        workers=args.workers,
+        fault_plan=fault_plan,
+        manifest_path=args.manifest,
+        resume=args.resume,
+        max_restarts=args.max_restarts,
+        profiler=profiler,
+        bus=bus,
+        pool="cold" if args.cold_pool else "warm",
+        supervision=supervision,
+    )
     try:
-        outcome = run_sweep(
-            spec,
-            workers=args.workers,
-            fault_plan=fault_plan,
-            manifest_path=args.manifest,
-            resume=args.resume,
-            max_restarts=args.max_restarts,
-            profiler=profiler,
-            bus=bus,
-            batch_size=args.batch_size,
-            pool="cold" if args.cold_pool else "warm",
-            supervision=supervision,
-        )
+        if grid is None:
+            outcome = run_sweep(spec, batch_size=args.batch_size, **options)
+        else:
+            outcome = run_grid(grid, shared_maps=shared, chunk_size=args.batch_size, **options)
     except (RuntimeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         if reporter is not None:
             reporter.close()
-    agg = outcome.report.aggregate()
-    mode = "barrier" if args.barrier else "next-phase overlap"
-    print(f"workload     : {args.workload} ({mode})", file=out)
-    print(
-        f"replications : {agg['replications']} across {outcome.pool_workers} host "
-        f"process{'es' if outcome.pool_workers != 1 else ''}",
-        file=out,
-    )
-    print(f"mean util    : {agg['utilization_mean']:.1%}", file=out)
-    print(
-        f"util range   : {agg['utilization_min']:.1%} .. {agg['utilization_max']:.1%}",
-        file=out,
-    )
-    print(f"mean makespan: {agg['makespan_mean']:.2f}", file=out)
-    print(f"tasks        : {agg['tasks_total']}", file=out)
+    processes = f"{outcome.pool_workers} host process{'es' if outcome.pool_workers != 1 else ''}"
+    if grid is None:
+        agg = outcome.report.aggregate()
+        mode = "barrier" if args.barrier else "next-phase overlap"
+        print(f"workload     : {args.workload} ({mode})", file=out)
+        print(f"replications : {agg['replications']} across {processes}", file=out)
+        print(f"mean util    : {agg['utilization_mean']:.1%}", file=out)
+        print(
+            f"util range   : {agg['utilization_min']:.1%} .. {agg['utilization_max']:.1%}",
+            file=out,
+        )
+        print(f"mean makespan: {agg['makespan_mean']:.2f}", file=out)
+        print(f"tasks        : {agg['tasks_total']}", file=out)
+        unit, size = "replication", "batch"
+    else:
+        print(f"workload     : {spec.workload}", file=out)
+        print(
+            f"grid         : {grid.n_points} points x {spec.replications} replications"
+            f" = {grid.n_cells} cells across {processes}",
+            file=out,
+        )
+        for axis in grid.axes:
+            print(f"  axis {axis.name:<18}: {list(axis.values)}", file=out)
+        _print_point_table(outcome.report.aggregate_by_point(), out)
+        print("", file=out)
+        unit, size = "cell", "chunk"
     print(f"elapsed      : {outcome.elapsed_seconds:.2f}s host wall-clock", file=out)
     if outcome.pool_workers > 1:
         reuse = "reused warm" if outcome.pool_reused else ("cold" if args.cold_pool else "fresh warm")
-        print(
-            f"pool         : {reuse} pool, batch size {outcome.batch_size}",
-            file=out,
-        )
-    if outcome.resumed:
-        print(f"resumed      : {outcome.resumed} replications from manifest", file=out)
-    if outcome.worker_restarts:
-        print(f"restarts     : {outcome.worker_restarts} after worker death", file=out)
-    _print_supervision(outcome.supervision, out)
-    if args.manifest:
-        print(f"manifest     : {args.manifest}", file=out)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(outcome.report.to_json())
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"saved report to {args.output}", file=out)
-    if profiler is not None:
-        meta = {
-            "command": "sweep",
-            "workload": args.workload,
-            "replications": spec.replications,
-            "pool_workers": outcome.pool_workers,
-            "elapsed_seconds": outcome.elapsed_seconds,
-            "batch_size": outcome.batch_size,
-            "pool_reused": outcome.pool_reused,
-            "pool_generation": outcome.pool_generation,
-        }
-        rc = _write_profile_report(args, profiler, "replication", outcome, meta, out)
-        if rc:
-            return rc
-    return 0
-
-
-def _cmd_sweep_grid(args, spec, out) -> int:
-    """``repro sweep --grid AXIS=v1,v2``: the parameter-grid engine."""
-    from repro.sweep import GridSpec, materialize_maps, parse_axis, run_grid
-
-    try:
-        axes = tuple(parse_axis(token) for token in args.grid_axes)
-        grid = GridSpec(base=spec, axes=axes)
-        shared = materialize_maps(grid) if args.share_maps else None
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.share_maps and not shared:
-        print("note: workload declares no selection maps; nothing to share", file=out)
-    try:
-        fault_plan, supervision = _sweep_faults(args, grid.n_cells)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    profiler, bus, reporter = _sweep_instrumentation(args)
-    try:
-        outcome = run_grid(
-            grid,
-            workers=args.workers,
-            shared_maps=shared,
-            manifest_path=args.manifest,
-            resume=args.resume,
-            max_restarts=args.max_restarts,
-            fault_plan=fault_plan,
-            profiler=profiler,
-            bus=bus,
-            chunk_size=args.batch_size,
-            pool="cold" if args.cold_pool else "warm",
-            supervision=supervision,
-        )
-    except (RuntimeError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if reporter is not None:
-            reporter.close()
-    print(f"workload     : {spec.workload}", file=out)
-    print(
-        f"grid         : {grid.n_points} points x {spec.replications} replications"
-        f" = {grid.n_cells} cells across {outcome.pool_workers} host "
-        f"process{'es' if outcome.pool_workers != 1 else ''}",
-        file=out,
-    )
-    for axis in axes:
-        print(f"  axis {axis.name:<18}: {list(axis.values)}", file=out)
-    print("\nper-point aggregates", file=out)
-    for agg in outcome.report.aggregate_by_point():
-        point = " ".join(f"{k}={v}" for k, v in agg["point"].items())
-        print(
-            f"  {point:<44} util {agg['utilization_mean']:7.1%}"
-            f"  makespan {agg['makespan_mean']:9.2f}",
-            file=out,
-        )
-    print(f"\nelapsed      : {outcome.elapsed_seconds:.2f}s host wall-clock", file=out)
-    if outcome.pool_workers > 1:
-        reuse = "reused warm" if outcome.pool_reused else ("cold" if args.cold_pool else "fresh warm")
-        print(
-            f"pool         : {reuse} pool, chunk size {outcome.chunk_size}",
-            file=out,
-        )
+        print(f"pool         : {reuse} pool, {size} size {outcome.chunk_size}", file=out)
     if outcome.shared_map_bytes:
         print(
             f"shared maps  : {outcome.shared_map_bytes} bytes in shared memory",
             file=out,
         )
     if outcome.resumed:
-        print(f"resumed      : {outcome.resumed} cells from manifest", file=out)
+        print(f"resumed      : {outcome.resumed} {unit}s from manifest", file=out)
     if outcome.worker_restarts:
         print(f"restarts     : {outcome.worker_restarts} after worker death", file=out)
     _print_supervision(outcome.supervision, out)
@@ -1062,16 +1000,16 @@ def _cmd_sweep_grid(args, spec, out) -> int:
         print(f"saved report to {args.output}", file=out)
     if profiler is not None:
         meta = {
-            "command": "sweep --grid",
+            "command": "sweep" if grid is None else "sweep --grid",
             "workload": spec.workload,
-            "cells": grid.n_cells,
+            f"{unit}s": units,
             "pool_workers": outcome.pool_workers,
             "elapsed_seconds": outcome.elapsed_seconds,
-            "chunk_size": outcome.chunk_size,
+            f"{size}_size": outcome.chunk_size,
             "pool_reused": outcome.pool_reused,
             "pool_generation": outcome.pool_generation,
         }
-        rc = _write_profile_report(args, profiler, "cell", outcome, meta, out)
+        rc = _write_profile_report(args, profiler, unit, outcome, meta, out)
         if rc:
             return rc
     return 0

@@ -12,6 +12,10 @@ ProcessPoolExecutor` while keeping the report *bit-for-bit deterministic*:
   order, and serialized canonically — a serial run and a 4-worker run of
   the same spec produce byte-identical JSON.
 
+A replication fan is a grid with one empty point: sweeps and grids run
+on one driver, with one worker entry, one per-unit runner, one batch
+policy and one outcome type.
+
 Entry points
 ------------
 :func:`run_sweep`
@@ -21,7 +25,8 @@ Entry points
     Execute a :class:`GridSpec` — a cartesian product (or explicit list)
     of parameter points, each replicated — with the same determinism,
     crash-salvage, and resume guarantees, optionally over the
-    :class:`SharedMapStore` zero-copy map plane.
+    :class:`SharedMapStore` zero-copy map plane; returns a
+    :class:`SweepOutcome` holding a :class:`GridReport`.
 :func:`map_configs`
     Order-preserving parallel map for figure drivers and ad-hoc sweeps.
 ``repro sweep``
@@ -64,7 +69,7 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
             "run_replication",
             "run_pool_tasks",
             "replication_seed",
-            "result_summary",
+            "sweep_summary",
             "map_configs",
         ),
         "repro.workloads.registry": ("build_workload", "workload_names"),
@@ -72,7 +77,6 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
             "GridAxis",
             "GridSpec",
             "GridReport",
-            "GridOutcome",
             "run_grid",
             "run_grid_cell",
             "grid_point_seed",

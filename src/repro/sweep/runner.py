@@ -1,10 +1,16 @@
 """The sweep runner: process-pool replication fans with deterministic output.
 
+A replication fan is a grid with one empty point, so :func:`run_sweep`
+and :func:`~repro.sweep.grid.run_grid` are thin wrappers: each derives
+its units (an id, a summary label, a point and a master seed) and hands
+them to the one driver here, which owns the manifest, the chaos
+verdicts, supervision, the shared-map store, batching and the pool.
+
 Design constraints, in order:
 
 1. **Determinism.**  A report must not depend on how the work was
-   scheduled.  Replication seeds are derived (never drawn), summaries are
-   keyed by replication index, and serialization is canonical
+   scheduled.  Unit seeds are derived (never drawn), summaries are
+   keyed by unit index, and serialization is canonical
    (sorted keys, fixed separators, no host timing inside the report).
 2. **Picklability.**  Phase programs hold closures (cost models, map
    generators), so programs never cross the process boundary — the worker
@@ -24,7 +30,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.obs.events import EventBus, PoolTaskCompleted
 from repro.sweep.pool import WarmPool, _drop_executor, _worker_init, cost_model, warm_pool
@@ -36,8 +42,11 @@ from repro.sweep.supervise import (
 from repro.workloads.registry import build_workload, workload_names
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.faults import FaultInjector, FaultPlan
     from repro.obs.profile import PoolProfiler
+    from repro.sweep.grid import GridReport
 
 __all__ = [
     "SweepSpec",
@@ -137,14 +146,130 @@ def replication_seed(sweep_seed: int, replication: int) -> int:
 
 
 # ---------------------------------------------------------------------- worker
+#: grid-point keys that override :class:`SweepSpec` fields
+SPEC_AXES = frozenset({"workload", "sim_workers", "streams", "tasks_per_processor", "barrier"})
+#: grid-point keys that override :class:`~repro.core.overlap.OverlapConfig`
+CONFIG_AXES = frozenset({"overlap", "split", "target_fraction", "group_size", "elevate"})
+#: grid-point keys that drive fault injection
+FAULT_AXES = frozenset({"fault_seed", "transient_p"})
+
+
+class _SharedMapGenerator:
+    """Map 'generator' that ignores the RNG and returns the shared array."""
+
+    def __init__(self, store: Mapping[str, "np.ndarray"], name: str) -> None:
+        self._store = store
+        self._name = name
+
+    def __call__(self, rng: "np.random.Generator") -> "np.ndarray":
+        return self._store[self._name]
+
+
+#: one composite-map cache per worker process: adjacent grid points that
+#: share mapping/maps/group-size rebuild only the target-dependent suffix
+_CELL_CACHE = None
+
+
+def _cell_cache():
+    global _CELL_CACHE
+    if _CELL_CACHE is None:
+        from repro.core.enablement import CompositeMapCache
+
+        _CELL_CACHE = CompositeMapCache()
+    return _CELL_CACHE
+
+
+def _run_unit(
+    base_data: dict[str, Any],
+    point: Mapping[str, Any],
+    seed: int,
+    shared: Mapping[str, "np.ndarray"] | None = None,
+    instrument: bool = False,
+) -> dict[str, Any]:
+    """Run the base spec at ``point`` under master ``seed``; returns its
+    :func:`sweep_summary`.
+
+    The one per-unit runner: a replication is the empty point under its
+    replication seed, a grid cell its point under the cell seed.  Point
+    keys resolve in the namespaces :data:`SPEC_AXES`,
+    :data:`CONFIG_AXES` and :data:`FAULT_AXES`; any other key is a
+    workload-factory parameter.  ``shared`` maps replace the workload's
+    own map draws, and only then does the run use the process's
+    composite-map cache: without them every run draws its own maps, so
+    no two runs could share a cache entry.
+    """
+    from repro.core.overlap import OverlapConfig, OverlapPolicy, SplitStrategy
+    from repro.executive import TaskSizer, run_program
+
+    spec = SweepSpec.from_dict(base_data)
+    workload = str(point.get("workload", spec.workload))
+    sim_workers = int(point.get("sim_workers", spec.sim_workers))
+    streams = int(point.get("streams", spec.streams))
+    tasks_per_processor = float(point.get("tasks_per_processor", spec.tasks_per_processor))
+    barrier = bool(point.get("barrier", spec.barrier))
+    if "overlap" in point:
+        barrier = not bool(point["overlap"])
+
+    params = dict(spec.params)
+    params.update(
+        {
+            k: v
+            for k, v in point.items()
+            if k not in SPEC_AXES and k not in CONFIG_AXES and k not in FAULT_AXES
+        }
+    )
+
+    config_kwargs: dict[str, Any] = {
+        "policy": OverlapPolicy.NONE if barrier else OverlapPolicy.NEXT_PHASE,
+    }
+    if "split" in point:
+        config_kwargs["split_strategy"] = SplitStrategy(str(point["split"]))
+    if "target_fraction" in point:
+        config_kwargs["target_fraction"] = float(point["target_fraction"])
+    if "group_size" in point:
+        config_kwargs["composite_group_size"] = int(point["group_size"])
+    if "elevate" in point:
+        config_kwargs["elevate_enabling_granules"] = bool(point["elevate"])
+    config = OverlapConfig(**config_kwargs)
+
+    faults = None
+    transient_p = float(point.get("transient_p", 0.0))
+    if transient_p > 0.0:
+        from repro.faults import FaultPlan, TransientGranuleError
+
+        faults = FaultPlan(
+            seed=int(point.get("fault_seed", 0)),
+            faults=(TransientGranuleError(transient_p),),
+        )
+
+    programs = [build_workload(workload, params) for _ in range(streams)]
+    if shared:
+        for program in programs:
+            for name in shared:
+                if name in program.map_generators:
+                    program.map_generators[name] = _SharedMapGenerator(shared, name)
+    result = run_program(
+        programs if streams > 1 else programs[0],
+        sim_workers,
+        config=config,
+        sizer=TaskSizer(tasks_per_processor),
+        seed=seed,
+        faults=faults,
+        composite_cache=_cell_cache() if shared else None,
+    )
+    if instrument:
+        count_run_into_worker_registry(result, workload)
+    return sweep_summary(result)
+
+
 def run_replication(
     spec_data: dict[str, Any], replication: int, instrument: bool = False
 ) -> dict[str, Any]:
     """Execute one replication; returns its JSON-able summary.
 
-    Module-level (hence picklable) — this is the function the process
-    pool imports on the worker side.  Everything it needs arrives as
-    plain data; the phase program is rebuilt locally.
+    The summary is exactly what a sweep's pool worker files for this
+    replication.  Everything it needs arrives as plain data; the phase
+    program is rebuilt locally.
 
     ``instrument=True`` (the ``--profile`` path) counts the finished
     run into the process-local :func:`~repro.obs.metrics.worker_registry`
@@ -153,23 +278,9 @@ def run_replication(
     back to the parent.  Instrumentation observes, never steers — the
     returned summary is identical either way.
     """
-    from repro.core.overlap import OverlapConfig
-    from repro.executive import TaskSizer, run_program
-
-    spec = SweepSpec.from_dict(spec_data)
-    seed = replication_seed(spec.seed, replication)
-    programs = [build_workload(spec.workload, spec.params) for _ in range(spec.streams)]
-    config = OverlapConfig.barrier() if spec.barrier else OverlapConfig()
-    result = run_program(
-        programs if spec.streams > 1 else programs[0],
-        spec.sim_workers,
-        config=config,
-        sizer=TaskSizer(spec.tasks_per_processor),
-        seed=seed,
-    )
-    if instrument:
-        count_run_into_worker_registry(result, spec.workload)
-    return {"replication": replication, "seed": seed, **result_summary(result)}
+    seed = replication_seed(SweepSpec.from_dict(spec_data).seed, replication)
+    summary = _run_unit(spec_data, {}, seed, instrument=instrument)
+    return {"replication": replication, "seed": seed, **summary}
 
 
 def count_run_into_worker_registry(result: Any, workload: str) -> None:
@@ -207,8 +318,10 @@ def count_run_into_worker_registry(result: Any, workload: str) -> None:
             faults.inc(count, kind=kind)
 
 
-def result_summary(result) -> dict[str, Any]:
-    """The JSON-able per-run summary shared by replication and grid cells."""
+def sweep_summary(result) -> dict[str, Any]:
+    """The JSON-able per-run summary every replication and grid cell
+    stores in its report (a saved run's summary is
+    :func:`repro.sim.persist.result_summary`)."""
     return {
         "makespan": result.makespan,
         "utilization": result.utilization,
@@ -265,53 +378,60 @@ class SweepReport:
 
     def aggregate(self) -> dict[str, Any]:
         """Cross-replication summary statistics."""
-        if not self.replications:
-            return {}
-        utils = [r["utilization"] for r in self.replications]
-        spans = [r["makespan"] for r in self.replications]
-        walls = [s["wall_clock"] for r in self.replications for s in r["streams"]]
-        admitted = sum(
-            1 for r in self.replications for a in r["admissions"] if a["admitted"]
-        )
-        considered = sum(len(r["admissions"]) for r in self.replications)
-        return {
-            "replications": len(self.replications),
-            "utilization_mean": sum(utils) / len(utils),
-            "utilization_min": min(utils),
-            "utilization_max": max(utils),
-            "makespan_mean": sum(spans) / len(spans),
-            "makespan_min": min(spans),
-            "makespan_max": max(spans),
-            "stream_wall_clock_mean": sum(walls) / len(walls) if walls else 0.0,
-            "overlaps_admitted": admitted,
-            "overlaps_considered": considered,
-            "tasks_total": sum(r["tasks_executed"] for r in self.replications),
-            "granules_total": sum(r["granules_executed"] for r in self.replications),
-        }
+        return _aggregate(self.replications)
+
+
+def _aggregate(runs: list[dict[str, Any]]) -> dict[str, Any]:
+    """Summary statistics over run summaries: a sweep's replications, or
+    the cells at one grid point (``{}`` for no runs)."""
+    if not runs:
+        return {}
+    utils = [r["utilization"] for r in runs]
+    spans = [r["makespan"] for r in runs]
+    walls = [s["wall_clock"] for r in runs for s in r["streams"]]
+    admitted = sum(1 for r in runs for a in r["admissions"] if a["admitted"])
+    considered = sum(len(r["admissions"]) for r in runs)
+    return {
+        "replications": len(runs),
+        "utilization_mean": sum(utils) / len(utils),
+        "utilization_min": min(utils),
+        "utilization_max": max(utils),
+        "makespan_mean": sum(spans) / len(spans),
+        "makespan_min": min(spans),
+        "makespan_max": max(spans),
+        "stream_wall_clock_mean": sum(walls) / len(walls) if walls else 0.0,
+        "overlaps_admitted": admitted,
+        "overlaps_considered": considered,
+        "tasks_total": sum(r["tasks_executed"] for r in runs),
+        "granules_total": sum(r["granules_executed"] for r in runs),
+    }
 
 
 @dataclass
 class SweepOutcome:
-    """A finished sweep: the canonical report plus host-side facts.
+    """A finished sweep or grid: the canonical report plus host-side facts.
 
-    ``batch_size`` / ``pool_reused`` / ``pool_generation`` are diagnostic
-    host facts (how dispatch actually ran), recorded here — never in the
-    canonical report, whose bytes must not depend on them.
+    ``chunk_size`` / ``shared_map_bytes`` / ``pool_reused`` /
+    ``pool_generation`` are diagnostic host facts (how dispatch actually
+    ran), recorded here — never in the canonical report, whose bytes
+    must not depend on them.
     """
 
-    report: SweepReport
+    report: "SweepReport | GridReport"
     elapsed_seconds: float
     pool_workers: int
     resumed: int = 0
     worker_restarts: int = 0
-    #: replications per dispatched pool task in the main batched phase
-    batch_size: int = 1
-    #: True when the sweep ran on an already-live warm pool
+    #: bytes of read-only map data shared by every unit (0 = none shared)
+    shared_map_bytes: int = 0
+    #: units per dispatched pool task in the main batched phase
+    chunk_size: int = 1
+    #: True when the run used an already-live warm pool
     pool_reused: bool = False
-    #: warm-pool executor build count after the sweep (0 = no pool used)
+    #: warm-pool executor build count after the run (0 = no pool used)
     pool_generation: int = 0
     #: supervisor stats (hangs detected, preemptions, ladder transitions,
-    #: final rung) when the sweep ran supervised; None otherwise
+    #: final rung) when the run was supervised; None otherwise
     supervision: dict[str, Any] | None = None
 
 
@@ -404,35 +524,45 @@ def _chaos_verdict(
     return chaos or None
 
 
-def _pool_entry_batch(
-    spec_data: dict[str, Any],
-    replications: Sequence[int],
+def _run_batch(
+    base_data: dict[str, Any],
+    units: Sequence[tuple[int, dict[str, Any], dict[str, Any], int]],
+    maps_payload: Mapping[str, Any] | None,
+    attach: bool,
     chaos: dict[str, Any] | None,
     instrument: bool = False,
 ) -> dict[str, Any]:
-    """Run a batch of replications as one pool task.
+    """Run a batch of ``(id, label, point, seed)`` units as one pool task.
 
-    One submission pickle and one result envelope amortize dispatch over
-    the whole batch; the summaries themselves are exactly what
-    :func:`run_replication` would return one by one, so report bytes are
-    independent of the batch size.  The envelope's ``t_start``/``t_end``
+    The one worker entry.  Each summary is the unit's label, its seed and
+    its :func:`_run_unit` summary, so report bytes are independent of the
+    batch size.  One submission pickle and one result envelope amortize
+    dispatch over the whole batch; the envelope's ``t_start``/``t_end``
     (:func:`time.perf_counter`, comparable across processes) and
     ``compute_seconds`` feed the host-side cost model and the
     concurrency-overlap accounting — host facts, never report content.
 
-    ``chaos`` is this attempt's injected-misbehavior verdict, computed on
-    the host from the fault plan (see :func:`_apply_chaos`).
+    ``maps_payload`` is either shared-store descriptors (``attach=True``,
+    the zero-copy path) or the concrete arrays themselves (inline mode,
+    or a pool run with shm disabled).  The attachment is memoized per
+    worker process, so a worker pays the segment-open cost once per run,
+    not once per batch.  ``chaos`` is this attempt's injected-misbehavior
+    verdict, computed on the host from the fault plan (see
+    :func:`_apply_chaos`).
     """
-    _apply_chaos(chaos, f"replication batch {list(replications)}")
+    _apply_chaos(chaos, f"batch of units {[u[0] for u in units]}")
+    shared = maps_payload
+    if attach:
+        from repro.sweep.shm import SharedMapStore
+
+        shared = SharedMapStore.attach(maps_payload, cached=True)
     t0 = time.perf_counter()
-    out = [run_replication(spec_data, r, instrument=instrument) for r in replications]
+    out = [
+        {**label, "seed": seed, **_run_unit(base_data, point, seed, shared, instrument)}
+        for _, label, point, seed in units
+    ]
     t1 = time.perf_counter()
-    return {
-        "batch": out,
-        "compute_seconds": t1 - t0,
-        "t_start": t0,
-        "t_end": t1,
-    }
+    return {"batch": out, "compute_seconds": t1 - t0, "t_start": t0, "t_end": t1}
 
 
 def _batch_lander(
@@ -445,8 +575,7 @@ def _batch_lander(
     progress: Callable[[int, int], None] | None,
     bus: EventBus | None,
 ) -> Callable[[Any, dict[str, Any]], None]:
-    """The ``record`` callback the sweep and grid drivers hand
-    :func:`run_pool_tasks`.
+    """The ``record`` callback the driver hands :func:`run_pool_tasks`.
 
     It lands one pool task's batch envelope: folds the measured compute
     into the cost model under ``ckey``, files each summary in
@@ -488,23 +617,28 @@ def _batch_lander(
     return record
 
 
-def _sweep_cost_key(spec_data: dict[str, Any]) -> str:
-    """Cost-model identity of a sweep spec: everything that shapes one
-    replication's work, nothing that only counts or seeds them."""
-    d = {k: v for k, v in spec_data.items() if k not in ("replications", "seed")}
-    return json.dumps(d, sort_keys=True, separators=(",", ":"))
+def _cost_key(spec_data: dict[str, Any]) -> str:
+    """Cost-model identity of a sweep or grid spec: everything that shapes
+    its units' work, nothing that only counts or seeds them (a grid's
+    ``base`` spec obeys the same rule)."""
+
+    def shape(d: dict[str, Any]) -> dict[str, Any]:
+        return {
+            k: shape(v) if k == "base" else v
+            for k, v in d.items()
+            if k not in ("replications", "seed")
+        }
+
+    return json.dumps(shape(spec_data), sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------- manifest
-_MANIFEST_KIND = "sweep-manifest"
-
-
 def _open_manifest(
     path: str | Path | None,
     spec_data: dict[str, Any],
     resume: bool,
-    kind: str = _MANIFEST_KIND,
-    key: str = "replication",
+    kind: str,
+    key: str,
 ) -> tuple[dict[int, dict[str, Any]], IO[str] | None]:
     """Open the JSONL journal at ``path``: ``(journaled, append handle)``.
 
@@ -513,8 +647,9 @@ def _open_manifest(
     and the spec.  On resume, ``journaled`` holds every completed task
     summary already in the file, keyed by its ``key`` field; a manifest
     written for a different spec is refused, because resuming someone
-    else's sweep would silently mix incompatible results.  The grid
-    engine passes its own ``kind`` / ``key`` (cell-indexed entries).
+    else's sweep would silently mix incompatible results.  Sweeps write
+    ``sweep-manifest`` files keyed by ``replication``, grids
+    ``grid-manifest`` files keyed by ``cell``.
 
     A record counts only once its newline is on disk.  A torn tail (the
     previous process died mid-write) is ignored *and cut off* before
@@ -579,8 +714,8 @@ def run_pool_tasks(
 ) -> int:
     """Run every task in ``keys`` with crash-salvage; returns pool restarts.
 
-    The one pool-management loop the replication fan, the grid engine and
-    :func:`map_configs` all run on.  ``call(key, attempt)`` returns the
+    The one pool-management loop the sweep and grid driver and
+    :func:`map_configs` run on.  ``call(key, attempt)`` returns the
     ``(module-level function, picklable args)`` pair to execute for
     ``key``; ``record(key, result)`` is invoked exactly once per key, in
     completion order.
@@ -773,6 +908,144 @@ def run_pool_tasks(
 
 
 # ---------------------------------------------------------------------- driver
+def _run_units(
+    spec_data: dict[str, Any],
+    base_data: dict[str, Any],
+    units: list[tuple[int, dict[str, Any], dict[str, Any], int]],
+    unit: str,
+    kind: str,
+    what: str,
+    report_type: Callable[[dict[str, Any], list[dict[str, Any]]], Any],
+    *,
+    workers: int,
+    progress: Callable[[int, int], None] | None,
+    fault_plan: "FaultPlan | None",
+    manifest_path: str | Path | None,
+    resume: bool,
+    max_restarts: int,
+    profiler: "PoolProfiler | None",
+    bus: EventBus | None,
+    size: int | None,
+    pool: "WarmPool | str",
+    supervision: "SupervisionPolicy | bool | None",
+    shared_maps: Mapping[str, "np.ndarray"] | None = None,
+    use_shm: bool = True,
+) -> SweepOutcome:
+    """Run ``units`` of the spec ``base_data``: the one sweep and grid driver.
+
+    Each unit is ``(id, label, point, seed)``: the id keys its summary and
+    its fault-plan entries, and the summary is ``label`` plus ``seed``
+    plus the run at ``point`` under ``seed``.  ``unit`` is the label
+    field holding the id (``"replication"`` or ``"cell"``), ``kind`` the
+    manifest kind, and ``what`` names a pool task in errors and
+    supervision events.  ``spec_data`` is what the report, the manifest
+    header and the cost-model key describe; the report is
+    ``report_type(spec_data, summaries in id order)``.
+
+    Batch policy: an explicit ``size`` wins; an inline run takes one unit
+    per task; otherwise the cost model picks the size, after a
+    calibration pass of one single-unit task per worker when it has not
+    seen this spec.  ``shared_maps`` go to every unit — through one
+    :class:`~repro.sweep.shm.SharedMapStore` on a pool with ``use_shm``,
+    unlinked however the run ends, and as the arrays themselves
+    otherwise.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if max_restarts < 0:
+        raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
+    if size is not None and size < 1:
+        raise ValueError(f"batch size must be >= 1, got {size}")
+    injector = _chaos_injector(fault_plan)
+    t0 = time.perf_counter()
+    summaries, manifest = _open_manifest(manifest_path, spec_data, resume, kind, unit)
+    resumed = len(summaries)
+    model = cost_model()
+    ckey = _cost_key(spec_data)
+    record = _batch_lander(unit, summaries, len(units), t0, ckey, manifest, progress, bus)
+    warm = pool if isinstance(pool, WarmPool) else (warm_pool() if pool == "warm" else None)
+    pool_reused = bool(warm is not None and warm.active and workers > 1)
+    supervisor: Supervisor | None = None
+    if supervision:
+        policy = supervision if isinstance(supervision, SupervisionPolicy) else None
+        supervisor = Supervisor(
+            policy,
+            estimate=lambda: model.estimate(ckey),
+            bus=bus,
+            metrics=profiler.metrics if profiler is not None else None,
+            what=unit,
+            t0=t0,
+        )
+    payload: Mapping[str, Any] | None = None
+    attach = False
+    store = None
+    shared_bytes = restarts = 0
+
+    def run_batches(batches: list[list[Any]]) -> int:
+        if supervisor is not None:
+            supervisor.items_of = lambda bi: len(batches[bi])
+
+        def call(bi: int, attempt: int):
+            batch = batches[bi]
+            chaos = _chaos_verdict(injector, [u[0] for u in batch], attempt)
+            return _run_batch, (base_data, batch, payload, attach, chaos, profiler is not None)
+
+        return run_pool_tasks(
+            list(range(len(batches))),
+            call,
+            record,
+            workers=workers,
+            max_restarts=max_restarts,
+            what=what,
+            profiler=profiler,
+            pool=pool,
+            supervisor=supervisor,
+        )
+
+    pending = [u for u in units if u[0] not in summaries]
+    try:
+        if shared_maps:
+            import numpy as np
+
+            shared_bytes = sum(np.asarray(a).nbytes for a in shared_maps.values())
+            payload = shared_maps
+            if workers > 1 and use_shm:
+                from repro.sweep.shm import SharedMapStore
+
+                # zero-copy path: descriptors only, O(1) pickle bytes per task
+                store = SharedMapStore.create(shared_maps)
+                payload, attach = store.descriptors(), True
+        if size is None and workers == 1:
+            size = 1  # inline runs land (and journal) one unit at a time
+        elif size is None:
+            size = model.pick_batch_size(ckey, len(pending), workers)
+            if size is None and len(pending) > workers:
+                # calibration: one single-unit task per worker — times the
+                # spec *and* spins the pool up in parallel
+                restarts += run_batches([[u] for u in pending[:workers]])
+                pending = pending[workers:]
+                size = model.pick_batch_size(ckey, len(pending), workers)
+            size = size or 1
+        restarts += run_batches([pending[i : i + size] for i in range(0, len(pending), size)])
+    finally:
+        if manifest is not None:
+            manifest.close()
+        if store is not None:
+            store.unlink()
+    return SweepOutcome(
+        report=report_type(spec_data, [summaries[i] for i in sorted(summaries)]),
+        elapsed_seconds=time.perf_counter() - t0,
+        pool_workers=workers,
+        resumed=resumed,
+        worker_restarts=restarts,
+        shared_map_bytes=shared_bytes,
+        chunk_size=size,
+        pool_reused=pool_reused,
+        pool_generation=warm.generation if warm is not None else 0,
+        supervision=supervisor.stats() if supervisor is not None else None,
+    )
+
+
 def run_sweep(
     spec: SweepSpec,
     workers: int = 1,
@@ -838,99 +1111,30 @@ def run_sweep(
     report bytes either; its facts land on
     :attr:`SweepOutcome.supervision`.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if max_restarts < 0:
-        raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     spec_data = spec.to_dict()
-    injector = _chaos_injector(fault_plan)
-    total = spec.replications
-    t0 = time.perf_counter()
-    summaries, manifest = _open_manifest(manifest_path, spec_data, resume)
-    resumed = len(summaries)
-    restarts = 0
-
-    instrument = profiler is not None
-    model = cost_model()
-    ckey = _sweep_cost_key(spec_data)
-    record = _batch_lander(
-        "replication", summaries, total, t0, ckey, manifest, progress, bus
-    )
-    warm = pool if isinstance(pool, WarmPool) else (warm_pool() if pool == "warm" else None)
-    supervisor: Supervisor | None = None
-    if supervision:
-        policy = supervision if isinstance(supervision, SupervisionPolicy) else None
-        supervisor = Supervisor(
-            policy,
-            estimate=lambda: model.estimate(ckey),
-            bus=bus,
-            metrics=profiler.metrics if profiler is not None else None,
-            what="replication",
-            t0=t0,
-        )
-
-    def run_batches(batches: list[list[int]]) -> int:
-        if supervisor is not None:
-            supervisor.items_of = lambda bi: len(batches[bi])
-
-        def call(bi: int, attempt: int):
-            batch = batches[bi]
-            chaos = _chaos_verdict(injector, batch, attempt)
-            return _pool_entry_batch, (spec_data, batch, chaos, instrument)
-
-        return run_pool_tasks(
-            list(range(len(batches))),
-            call,
-            record,
-            workers=workers,
-            max_restarts=max_restarts,
-            what="replication",
-            profiler=profiler,
-            pool=pool,
-            supervisor=supervisor,
-        )
-
-    def chunked(items: list[int], size: int) -> list[list[int]]:
-        return [items[i : i + size] for i in range(0, len(items), size)]
-
-    pending = [i for i in range(total) if i not in summaries]
-    pool_reused = bool(warm is not None and warm.active and workers > 1)
-    used_batch = 1
-    try:
-        if workers == 1 or batch_size == 1:
-            restarts += run_batches([[i] for i in pending])
-        elif batch_size is not None:
-            used_batch = batch_size
-            restarts += run_batches(chunked(pending, batch_size))
-        else:
-            size = model.pick_batch_size(ckey, len(pending), workers)
-            if size is None and len(pending) > workers:
-                # calibration: one single-replication task per worker —
-                # times the workload *and* spins the pool up in parallel
-                restarts += run_batches([[i] for i in pending[:workers]])
-                pending = pending[workers:]
-                size = model.pick_batch_size(ckey, len(pending), workers)
-            used_batch = size if size is not None else 1
-            restarts += run_batches(chunked(pending, used_batch) if pending else [])
-    finally:
-        if manifest is not None:
-            manifest.close()
-    elapsed = time.perf_counter() - t0
-    report = SweepReport(
-        spec=spec_data, replications=[summaries[i] for i in sorted(summaries)]
-    )
-    return SweepOutcome(
-        report=report,
-        elapsed_seconds=elapsed,
-        pool_workers=workers,
-        resumed=resumed,
-        worker_restarts=restarts,
-        batch_size=used_batch,
-        pool_reused=pool_reused,
-        pool_generation=warm.generation if warm is not None else 0,
-        supervision=supervisor.stats() if supervisor is not None else None,
+    units = [
+        (r, {"replication": r}, {}, replication_seed(spec.seed, r))
+        for r in range(spec.replications)
+    ]
+    return _run_units(
+        spec_data,
+        spec_data,
+        units,
+        "replication",
+        "sweep-manifest",
+        "replication",
+        SweepReport,
+        workers=workers,
+        progress=progress,
+        fault_plan=fault_plan,
+        manifest_path=manifest_path,
+        resume=resume,
+        max_restarts=max_restarts,
+        profiler=profiler,
+        bus=bus,
+        size=batch_size,
+        pool=pool,
+        supervision=supervision,
     )
 
 

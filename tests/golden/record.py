@@ -37,9 +37,8 @@ from repro.faults.plan import (
     TransientGranuleError,
 )
 from repro.sim.machine import ExecutivePlacement
-from repro.sim.persist import result_summary as run_summary
-from repro.sim.persist import trace_to_dict
-from repro.sweep.runner import build_workload, result_summary
+from repro.sim.persist import result_summary, trace_to_dict
+from repro.sweep.runner import build_workload, sweep_summary
 
 DIGESTS_PATH = Path(__file__).with_name("sim_digests.json")
 
@@ -96,8 +95,8 @@ def run_case(spec: dict[str, Any], **overrides: Any) -> RunResult:
 def canonical(result: RunResult) -> bytes:
     """The byte-exact artifact a run is judged by."""
     doc = {
-        "summary": result_summary(result),
-        "run": run_summary(result),
+        "summary": sweep_summary(result),
+        "run": result_summary(result),
         "recovery": [
             result.retries,
             result.reassignments,

@@ -421,3 +421,58 @@ class TestStatsExports:
         line = json.loads(jsonl.read_text().splitlines()[0])
         assert line["meta"]["source"] == "identity"
         assert "rundown.idle_seconds" in line["metrics"]
+
+
+class TestStatsSweepMalformed:
+    """``stats --sweep`` reads sweep and grid reports through one reader:
+    a malformed report is an ``error:`` line and exit 2, never a
+    traceback or a half-printed table."""
+
+    @staticmethod
+    def _sweep_report(tmp_path):
+        import json
+
+        path = tmp_path / "sweep.json"
+        code, _ = run_cli(
+            "sweep", "identity", "--replications", "2", "--sim-workers", "4",
+            "-o", str(path),
+        )
+        assert code == 0
+        return path, json.loads(path.read_text())
+
+    def _stats(self, capsys, path):
+        code, text = run_cli("stats", "--sweep", str(path))
+        return code, text, capsys.readouterr().err
+
+    def test_json_list(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, text, err = self._stats(capsys, path)
+        assert code == 2 and text == ""
+        assert err.startswith("error: ") and "not a sweep or grid report" in err
+
+    def test_sweep_replication_without_makespan(self, tmp_path, capsys):
+        import json
+
+        path, doc = self._sweep_report(tmp_path)
+        del doc["replications"][1]["makespan"]
+        path.write_text(json.dumps(doc))
+        code, text, err = self._stats(capsys, path)
+        assert code == 2 and text == ""
+        assert err == "error: 'makespan'\n"
+
+    def test_grid_cell_without_utilization(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "grid.json"
+        code, _ = run_cli(
+            "sweep", "identity", "--grid", "sim_workers=2,4", "--replications", "1",
+            "-o", str(path),
+        )
+        assert code == 0
+        doc = json.loads(path.read_text())
+        del doc["cells"][1]["utilization"]
+        path.write_text(json.dumps(doc))
+        code, text, err = self._stats(capsys, path)
+        assert code == 2 and text == ""
+        assert err == "error: 'utilization'\n"

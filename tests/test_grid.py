@@ -17,6 +17,7 @@ from repro.cli import main
 from repro.faults import FaultPlan, SweepWorkerKill
 from repro.sweep import (
     GridAxis,
+    GridReport,
     GridSpec,
     SweepSpec,
     grid_cell_seed,
@@ -155,6 +156,64 @@ class TestDeterminism:
             for p, a in ((x["point"], x) for x in report.aggregate_by_point())
         }
         assert len(utils) == 2
+
+
+class _CountingPoint(dict):
+    """A point that counts how often it is compared for equality."""
+
+    comparisons = 0
+
+    def __eq__(self, other):
+        type(self).comparisons += 1
+        return dict.__eq__(self, other)
+
+    __hash__ = None
+
+
+def _summary_cell(cell: int, point: dict, replication: int) -> dict:
+    """The fields a report aggregate reads, with made-up values."""
+    return {
+        "cell": cell,
+        "point": point,
+        "replication": replication,
+        "utilization": 0.5,
+        "makespan": float(cell),
+        "streams": [{"stream": 0, "wall_clock": 1.0}],
+        "admissions": [{"admitted": True}],
+        "tasks_executed": 2,
+        "granules_executed": 4,
+    }
+
+
+class TestAggregateByPoint:
+    def test_groups_cells_without_comparing_points(self):
+        # comparing each cell's point with every distinct point is
+        # quadratic: 200 points of 2 cells took tens of thousands of
+        # comparisons; one pass keyed by canonical JSON takes none
+        points = [_CountingPoint(n=i) for i in range(200)]
+        cells = [_summary_cell(2 * i + r, p, r) for i, p in enumerate(points) for r in (0, 1)]
+        report = GridReport(spec={}, cells=cells)
+        _CountingPoint.comparisons = 0
+        rows = report.aggregate_by_point()
+        n_points = len(report.points())
+        assert _CountingPoint.comparisons <= len(cells)
+        assert n_points == len(rows) == 200
+        assert [r["point"] for r in rows] == [{"n": i} for i in range(200)]
+        assert all(r["replications"] == 2 for r in rows)
+
+    def test_zero_and_false_stay_two_points(self):
+        # 0 == False, but they are two points with two seeds
+        grid = GridSpec(
+            base=SweepSpec("identity", replications=1, seed=3, sim_workers=4),
+            axes=(parse_axis("barrier=0,false"),),
+        )
+        assert grid_point_seed(3, {"barrier": 0}) != grid_point_seed(3, {"barrier": False})
+        report = run_grid(grid).report
+        rows = report.aggregate_by_point()
+        assert [json.dumps(r["point"]) for r in rows] == ['{"barrier": 0}', '{"barrier": false}']
+        assert [r["replications"] for r in rows] == [1, 1]
+        assert len(report.points()) == 2
+        assert report.cells_at({"barrier": False}) == [report.cells[1]]
 
 
 class TestCells:
