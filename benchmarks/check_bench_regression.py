@@ -61,7 +61,6 @@ SUITES: dict[str, tuple[tuple[str, str], ...]] = {
         ("enablement_notify", "granules_per_second"),
     ),
     "grid": (
-        ("composite_rebuild", "groups_per_second"),
         ("shm_transfer", "bytes_ratio"),
     ),
     "profile": (

@@ -1,18 +1,12 @@
-"""Grid-sweep engine benchmark — determinism gates plus incremental-rebuild
-throughput.
+"""Grid-sweep engine benchmark — determinism gates.
 
-Three sections of ``BENCH_grid.json``:
+Two sections of ``BENCH_grid.json``:
 
 * ``grid_sweep`` — a small grid executed at pool sizes {1, 2, 4} and once
   more under an interrupt-and-``--resume`` cycle; every report must be
   **byte-identical** to the serial reference (hard assertion, the
   engine's acceptance criterion), with wall-clock cells/second reported
   for context (not gated — host-dependent).
-* ``composite_rebuild`` — the incremental :meth:`CompositeGranuleMap.
-  rebuild_targets` path the grid engine uses across ``target_fraction``
-  points, measured as groups/second against the cold full build it
-  replaces.  Gated at the repo-wide 2x regression limit via
-  ``BENCH_grid.baseline.json``.
 * ``shm_transfer`` — written by :mod:`benchmarks.test_shm_transfer`.
 
 ``BENCH_QUICK=1`` shrinks the workload for CI.
@@ -25,11 +19,6 @@ import os
 import time
 from pathlib import Path
 
-import numpy as np
-
-from repro.core.enablement import CompositeGranuleMap
-from repro.core.granule import GranuleSet
-from repro.core.mapping import ReverseIndirectMapping
 from repro.sweep import (
     GridAxis,
     GridSpec,
@@ -40,10 +29,8 @@ from repro.sweep import (
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 
-#: Workload size per cell and rebuild-bench dimensions.
+#: Workload size per cell.
 N = 64 if QUICK else 256
-REBUILD_N = 20_000 if QUICK else 100_000
-GROUP_SIZE = 8
 POOL_SIZES = (1, 2, 4)
 
 
@@ -100,49 +87,6 @@ def bench_grid_sweep(tmp_dir: Path) -> dict:
     }
 
 
-def bench_composite_rebuild() -> dict:
-    """Incremental suffix rebuild vs the cold build it replaces."""
-    n = REBUILD_N
-    mapping = ReverseIndirectMapping("IMAP", fan_in=2)
-    maps = {"IMAP": np.random.default_rng(3).integers(0, n, size=(2, n))}
-    full = CompositeGranuleMap.build(mapping, n, n, maps, group_size=GROUP_SIZE)
-
-    fractions = (0.25, 0.5, 0.75, 1.0)
-    targets = [GranuleSet.universe(n).take(max(1, int(n * f)))[0] for f in fractions]
-
-    t0 = time.perf_counter()
-    rebuilt_groups = 0
-    total_groups = 0
-    for target in targets:
-        out = full.rebuild_targets(target)
-        rebuilt_groups += out.rebuilt_groups
-        total_groups += out.n_groups
-    incremental_seconds = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    for target in targets:
-        CompositeGranuleMap.build(
-            mapping, n, n, maps, group_size=GROUP_SIZE, target=target
-        )
-    cold_seconds = time.perf_counter() - t1
-
-    return {
-        "n": n,
-        "group_size": GROUP_SIZE,
-        "target_fractions": list(fractions),
-        "groups_total": total_groups,
-        "groups_recomputed": rebuilt_groups,
-        "incremental_seconds": incremental_seconds,
-        "cold_seconds": cold_seconds,
-        "speedup_vs_cold": cold_seconds / incremental_seconds
-        if incremental_seconds > 0
-        else 0.0,
-        "groups_per_second": total_groups / incremental_seconds
-        if incremental_seconds > 0
-        else 0.0,
-    }
-
-
 def write_report(sections: dict, path: str | Path = "BENCH_grid.json") -> None:
     """Merge sections into the shared grid bench report."""
     path = Path(path)
@@ -154,21 +98,14 @@ def write_report(sections: dict, path: str | Path = "BENCH_grid.json") -> None:
 
 def test_grid_sweep(tmp_path):
     sweep = bench_grid_sweep(tmp_path)
-    rebuild = bench_composite_rebuild()
-    write_report({"grid_sweep": sweep, "composite_rebuild": rebuild})
-    # prefix targets share their whole aligned prefix with the full build;
-    # the incremental path must recompute only ragged boundary groups
-    assert rebuild["groups_recomputed"] <= len(rebuild["target_fractions"])
-    print(json.dumps({"grid_sweep": sweep, "composite_rebuild": rebuild}, indent=2))
+    write_report({"grid_sweep": sweep})
+    print(json.dumps({"grid_sweep": sweep}, indent=2))
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as d:
-        out = {
-            "grid_sweep": bench_grid_sweep(Path(d)),
-            "composite_rebuild": bench_composite_rebuild(),
-        }
+        out = {"grid_sweep": bench_grid_sweep(Path(d))}
     write_report(out)
     print(json.dumps(out, indent=2, sort_keys=True))

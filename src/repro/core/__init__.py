@@ -40,12 +40,7 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
         ),
         ".predicate": ("ParallelPredicate", "AccessConflictPredicate", "overlap_is_safe"),
         ".classifier": ("classify_pair", "classify_program", "MappingCensus"),
-        ".enablement": (
-            "CompositeGranuleMap",
-            "CompositeMapCache",
-            "EnablementEngine",
-            "maps_fingerprint",
-        ),
+        ".enablement": ("CompositeGranuleMap", "EnablementEngine"),
         ".overlap": ("OverlapPolicy", "SplitStrategy", "OverlapConfig"),
     },
 )

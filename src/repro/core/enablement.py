@@ -27,7 +27,6 @@ evaluation (universal / identity / seam) during completion processing.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -39,34 +38,8 @@ from repro.core.mapping import EnablementMapping
 __all__ = [
     "CompositeGroup",
     "CompositeGranuleMap",
-    "CompositeMapCache",
     "EnablementEngine",
-    "maps_fingerprint",
 ]
-
-
-def maps_fingerprint(maps: Mapping[str, np.ndarray] | None):
-    """A stable, cheap identity key for a set of concrete selection maps.
-
-    Two map collections with the same fingerprint hold element-identical
-    arrays, so composite-map work keyed on the fingerprint can be reused
-    across runs (see :class:`CompositeMapCache`).  Stores that already
-    know their identity (e.g. :class:`repro.sweep.shm.SharedMapStore`
-    attachments, whose arrays are immutable shared segments) expose a
-    ``fingerprint()`` method and skip the content hash entirely.
-    """
-    if maps is None:
-        return None
-    fp = getattr(maps, "fingerprint", None)
-    if callable(fp):
-        return fp()
-    items = []
-    for name in sorted(maps):
-        arr = np.asarray(maps[name])
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
-        items.append((name, arr.shape, str(arr.dtype), zlib.crc32(arr)))
-    return tuple(items)
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,10 +53,12 @@ class CompositeGroup:
 class CompositeGranuleMap:
     """Executive-generated table: successor subset group -> required set.
 
-    Parameters
-    ----------
-    groups:
-        The composite entries.  Successor subsets must be disjoint.
+    :meth:`build` makes it.  The table is two
+    :class:`~repro.core.granule.GroupRuns` in the same group order:
+    :attr:`successors`, pairwise disjoint, and :attr:`required`, each
+    group's required predecessor granules; :attr:`covered` is the union
+    of the successors.  The per-group :attr:`groups` objects are built on
+    first read.
 
     Notes
     -----
@@ -92,33 +67,13 @@ class CompositeGranuleMap:
     extensive composite granule map generation could be self defeating."
     :meth:`build_cost` quantifies it so the simulator can charge the
     executive.
-
-    The table is two :class:`~repro.core.granule.GroupRuns` in the same
-    group order: :attr:`successors` and :attr:`required`.  The per-group
-    :attr:`groups` objects are built on first read.
     """
 
-    def __init__(self, groups: list[CompositeGroup]) -> None:
-        successors = GroupRuns.from_sets([g.successors for g in groups])
-        covered = successors.union()
-        # the groups are pairwise disjoint exactly when their union loses
-        # no granule to overlap
-        if len(covered) != (successors.stops - successors.starts).sum():
-            raise ValueError("composite map successor groups must be disjoint")
-        required = GroupRuns.from_sets([g.required for g in groups])
-        self._init(successors, required, covered, None, len(groups))
-        self._groups = list(groups)
-
-    def _init(self, successors, required, covered, build_args, rebuilt_groups) -> None:
-        self.successors: GroupRuns = successors
-        self.required: GroupRuns = required
-        self.covered: GranuleSet = covered
+    def __init__(self, successors: GroupRuns, required: GroupRuns, covered: GranuleSet) -> None:
+        self.successors = successors
+        self.required = required
+        self.covered = covered
         self._groups: list[CompositeGroup] | None = None
-        # build provenance, set by build(); None for hand-assembled maps
-        self._build_args: tuple | None = build_args
-        #: groups recomputed by the last build (== n_groups for a cold
-        #: build; the rebuild win is visible as reused = total - rebuilt)
-        self.rebuilt_groups: int = rebuilt_groups
 
     @classmethod
     def build(
@@ -129,7 +84,6 @@ class CompositeGranuleMap:
         maps: Mapping[str, np.ndarray] | None = None,
         group_size: int = 1,
         target: GranuleSet | None = None,
-        reuse: "CompositeGranuleMap | None" = None,
     ) -> "CompositeGranuleMap":
         """Build the composite map via the mapping's reverse direction.
 
@@ -138,55 +92,14 @@ class CompositeGranuleMap:
         build and check).  ``target`` restricts generation to a subset of
         the successor space — the paper's "subset group … to avoid
         solving an unnecessarily large enablement problem".  The groups
-        cut the target front to back (:meth:`GroupRuns.chunks`), so two
-        targets that share a prefix share their leading groups.
-
-        ``reuse`` is a previously built map for the *same* ``(mapping,
-        n_pred, n_succ, maps, group_size)``: any subset group whose
-        successor set already appears there keeps its computed requirement
-        and only the remainder goes through ``required_for_many`` — the
-        incremental path behind :meth:`rebuild_targets`.  The caller is
-        responsible for the sameness precondition (:class:`CompositeMapCache`
-        enforces it with :func:`maps_fingerprint`).
+        cut the target front to back (:meth:`GroupRuns.chunks`).
         """
         if group_size < 1:
             raise ValueError(f"group_size must be >= 1, got {group_size}")
         space = target if target is not None else GranuleSet.universe(n_succ)
         successors = GroupRuns.chunks(space, group_size)
-        if reuse is None:
-            required = mapping.required_for_many(successors, n_pred, n_succ, maps)
-            rebuilt = successors.n_groups
-        else:
-            # row of each group in reuse.required, then in the fresh rows
-            rows = successors.find_in(reuse.successors)
-            missing = np.flatnonzero(rows < 0)
-            fresh = mapping.required_for_many(successors.take(missing), n_pred, n_succ, maps)
-            rows[missing] = reuse.required.n_groups + np.arange(missing.size)
-            required = GroupRuns.concat(reuse.required, fresh).take(rows)
-            rebuilt = missing.size
-        out = cls.__new__(cls)
-        out._init(successors, required, space, (mapping, n_pred, n_succ, maps, group_size), rebuilt)
-        return out
-
-    def rebuild_targets(self, target: GranuleSet | None) -> "CompositeGranuleMap":
-        """Rebuild this map for a different successor ``target`` set.
-
-        Adjacent parameter-grid points often differ *only* in the targeted
-        successor subset (the ``target_fraction`` axis): the mapping, the
-        concrete selection maps and the group size are all unchanged, so
-        every subset group shared between the old and new partition keeps
-        its requirement and only the target-dependent suffix is recomputed.
-        Only available on maps produced by :meth:`build` (hand-assembled
-        maps carry no provenance to rebuild from).
-        """
-        if self._build_args is None:
-            raise ValueError(
-                "rebuild_targets needs a map produced by CompositeGranuleMap.build"
-            )
-        mapping, n_pred, n_succ, maps, group_size = self._build_args
-        return CompositeGranuleMap.build(
-            mapping, n_pred, n_succ, maps, group_size=group_size, target=target, reuse=self
-        )
+        required = mapping.required_for_many(successors, n_pred, n_succ, maps)
+        return cls(successors, required, space)
 
     @property
     def groups(self) -> list[CompositeGroup]:
@@ -222,61 +135,6 @@ class CompositeGranuleMap:
         return self.required.union()
 
 
-class CompositeMapCache:
-    """Process-local memo of built composite maps, keyed by link identity.
-
-    A parameter-grid sweep runs many executive simulations in the same
-    worker process; adjacent grid points frequently share the mapping, the
-    concrete selection maps and the group size and differ only in the
-    targeted successor subset (the ``target_fraction`` axis).  This cache
-    recognizes that case — identity is ``(mapping repr, n_pred, n_succ,
-    group_size,`` :func:`maps_fingerprint` ``)`` — and answers it with
-    :meth:`CompositeGranuleMap.rebuild_targets`, recomputing only the
-    target-dependent suffix instead of the whole table.
-
-    The cache never changes results: a hit rebuilds through the same
-    ``required_for_many`` reverse mapping a cold build would run, so the
-    produced map is element-identical (the Hypothesis
-    differential tests pin this).  ``hits`` / ``misses`` /
-    ``groups_reused`` expose the win for telemetry and benchmarks.
-    """
-
-    def __init__(self, max_entries: int = 8) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self._entries: dict[tuple, CompositeGranuleMap] = {}
-        self._max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.groups_reused = 0
-
-    def build(
-        self,
-        mapping: EnablementMapping,
-        n_pred: int,
-        n_succ: int,
-        maps: Mapping[str, np.ndarray] | None = None,
-        group_size: int = 1,
-        target: GranuleSet | None = None,
-    ) -> CompositeGranuleMap:
-        """Drop-in for :meth:`CompositeGranuleMap.build` with reuse."""
-        key = (repr(mapping), n_pred, n_succ, group_size, maps_fingerprint(maps))
-        prev = self._entries.get(key)
-        if prev is not None:
-            out = prev.rebuild_targets(target)
-            self.hits += 1
-            self.groups_reused += out.n_groups - out.rebuilt_groups
-        else:
-            out = CompositeGranuleMap.build(
-                mapping, n_pred, n_succ, maps, group_size=group_size, target=target
-            )
-            self.misses += 1
-            while len(self._entries) >= self._max_entries:
-                self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = out
-        return out
-
-
 class EnablementEngine:
     """Per-link enablement tracker driven by completion processing.
 
@@ -305,7 +163,6 @@ class EnablementEngine:
         maps: Mapping[str, np.ndarray] | None = None,
         group_size: int = 1,
         target: GranuleSet | None = None,
-        composite_cache: CompositeMapCache | None = None,
     ) -> None:
         self.mapping = mapping
         self.n_pred = n_pred
@@ -328,8 +185,7 @@ class EnablementEngine:
         self._index_gids: np.ndarray | None = None
 
         if mapping.kind.indirect:
-            build = composite_cache.build if composite_cache is not None else CompositeGranuleMap.build
-            cmap = self.composite = build(
+            cmap = self.composite = CompositeGranuleMap.build(
                 mapping, n_pred, n_succ, maps, group_size=group_size, target=target
             )
             # successor granules outside the targeted subset wait for phase end

@@ -322,8 +322,7 @@ class GroupRuns(NamedTuple):
     def chunks(cls, space: GranuleSet, size: int) -> "GroupRuns":
         """``space`` cut front to back into groups of ``size`` granules.
 
-        The last group may be short.  Two spaces that agree on a granule
-        prefix get identical leading groups.
+        The last group may be short.
         """
         b = np.array(space._b, dtype=np.int64)
         starts, lens = b[0::2], b[1::2] - b[0::2]
@@ -368,35 +367,19 @@ class GroupRuns(NamedTuple):
         offsets = np.concatenate(([0], np.cumsum(lens)))
         return GroupRuns(offsets, self.starts[runs], self.stops[runs])
 
-    @staticmethod
-    def concat(a: "GroupRuns", b: "GroupRuns") -> "GroupRuns":
-        """The groups of ``a`` followed by those of ``b``."""
-        return GroupRuns(
-            np.concatenate((a.offsets[:-1], b.offsets + a.offsets[-1])),
-            np.concatenate((a.starts, b.starts)),
-            np.concatenate((a.stops, b.stops)),
-        )
-
     def union(self) -> GranuleSet:
         """Every granule of every group, as one set."""
         return _from_spans(self.starts.tolist(), self.stops.tolist())
 
-    def find_in(self, other: "GroupRuns") -> np.ndarray:
-        """For each group, the index of an equal group of ``other``, else -1."""
-        where = {b: g for g, b in enumerate(other._bounds())}
-        return np.array([where.get(b, -1) for b in self._bounds()], dtype=np.int64)
-
     def sets(self) -> list[GranuleSet]:
-        """One set per group."""
-        return [_new(b, _width(b)) for b in self._bounds()]
-
-    def _bounds(self) -> list[tuple[int, ...]]:
-        """Each group's boundary tuple, converted to Python ints in one pass."""
+        """One set per group, with every boundary converted to a Python int
+        in one pass."""
         bounds = np.empty(2 * len(self.starts), dtype=np.int64)
         bounds[0::2] = self.starts
         bounds[1::2] = self.stops
         flat, edges = bounds.tolist(), (2 * self.offsets).tolist()
-        return [tuple(flat[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+        groups = [tuple(flat[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+        return [_new(b, _width(b)) for b in groups]
 
 
 def _concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

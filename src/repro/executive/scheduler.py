@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.enablement import CompositeMapCache, EnablementEngine
+from repro.core.enablement import EnablementEngine
 from repro.core.granule import GranuleSet
 from repro.core.mapping import EnablementMapping
 from repro.core.overlap import (
@@ -330,8 +330,6 @@ class ExecutiveSimulation:
         barrier watchdogs.
     recovery:
         Retry/backoff/watchdog knobs; defaults apply when ``None``.
-    composite_cache:
-        Optional cross-run memo for indirect-mapping composite maps.
     """
 
     def __init__(
@@ -348,16 +346,11 @@ class ExecutiveSimulation:
         admission_guard: "Callable[[AdmissionDecision], None] | None" = None,
         faults: FaultPlan | None = None,
         recovery: RecoveryPolicy | None = None,
-        composite_cache: "CompositeMapCache | None" = None,
     ) -> None:
         programs = [program] if isinstance(program, PhaseProgram) else list(program)
         if not programs:
             raise ValueError("need at least one program")
         self.config = config or OverlapConfig()
-        #: optional cross-run memo for indirect-mapping composite maps
-        #: (grid sweeps pass one so adjacent points that differ only in
-        #: target set rebuild only the target-dependent suffix)
-        self.composite_cache = composite_cache
         self.costs = costs or ExecutiveCosts()
         self.sizer = sizer or TaskSizer()
         self.ext = extensions or Extensions()
@@ -694,7 +687,6 @@ class ExecutiveSimulation:
             maps=maps or None,
             group_size=self.config.composite_group_size,
             target=target,
-            composite_cache=self.composite_cache,
         )
         run.maps = maps
         run.engine_to_next = engine
@@ -1150,7 +1142,6 @@ def run_program(
     admission_guard: "Callable[[AdmissionDecision], None] | None" = None,
     faults: FaultPlan | None = None,
     recovery: RecoveryPolicy | None = None,
-    composite_cache: "CompositeMapCache | None" = None,
 ) -> RunResult:
     """Convenience wrapper: build an :class:`ExecutiveSimulation` and run it."""
     sim = ExecutiveSimulation(
@@ -1166,6 +1157,5 @@ def run_program(
         admission_guard=admission_guard,
         faults=faults,
         recovery=recovery,
-        composite_cache=composite_cache,
     )
     return sim.run(max_events=max_events)

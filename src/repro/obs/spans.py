@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
+from repro.sim.persist import _jsonable
 from repro.sim.trace import Trace
 
 __all__ = [
@@ -208,8 +209,11 @@ def instants_from_trace(trace: Trace) -> list[tuple[float, str, str, dict[str, A
     ]
 
 
-def _resource_tids(resources: Iterable[str]) -> dict[str, int]:
-    """Stable resource → tid assignment: workers first, executives after.
+def _resource_tids(
+    spans: Iterable[Span], instants: list[tuple[float, str, str, dict[str, Any]]]
+) -> dict[str, int]:
+    """Stable tid for every span resource and instant subject: workers
+    first, executives after.
 
     Worker names sort numerically (P2 before P10) so the Perfetto track
     order matches processor indices.
@@ -220,7 +224,9 @@ def _resource_tids(resources: Iterable[str]) -> dict[str, int]:
             return (0, int(r[1:]))
         return (1, r)
 
-    return {r: i for i, r in enumerate(sorted(set(resources), key=sort_key))}
+    resources = {s.resource for s in spans}
+    resources.update(subject for _, _, subject, _ in instants)
+    return {r: i for i, r in enumerate(sorted(resources, key=sort_key))}
 
 
 def chrome_trace_events(
@@ -231,57 +237,53 @@ def chrome_trace_events(
     """Chrome trace-event records for ``spans`` (plus optional instants).
 
     ``instants`` are ``(time, name, subject, args)`` tuples rendered as
-    instant events on the subject's track (or a dedicated "events" track
-    when the subject owns no spans).
+    instant events on the subject's track (a track of its own when the
+    subject owns no spans).
     """
-    span_list = list(spans)
-    instant_list = list(instants)
-    resources = [s.resource for s in span_list]
-    extra = [subj for _, _, subj, _ in instant_list if subj not in set(resources)]
-    tids = _resource_tids(resources + extra)
-    events: list[dict[str, Any]] = []
-    for resource, tid in sorted(tids.items(), key=lambda kv: kv[1]):
-        events.append(
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": pid,
-                "tid": tid,
-                "ts": 0,
-                "args": {"name": resource},
-            }
-        )
-    for s in span_list:
-        events.append(
-            {
-                "ph": "X",
-                "name": s.name,
-                "cat": s.category,
-                "pid": pid,
-                "tid": tids[s.resource],
-                "ts": s.start * _US,
-                "dur": s.duration * _US,
-                "args": dict(s.args),
-            }
-        )
-    for time, name, subject, args in instant_list:
-        events.append(
-            {
-                "ph": "i",
-                "s": "t",
-                "name": name,
-                "cat": "event",
-                "pid": pid,
-                "tid": tids.get(subject, 0),
-                "ts": time * _US,
-                "args": dict(args),
-            }
-        )
-    return events
+    span_list, instant_list = list(spans), list(instants)
+    tids = _resource_tids(span_list, instant_list)
+    return list(_chrome_events(span_list, instant_list, tids, pid))
 
 
-def _jsonable(v: Any) -> bool:
-    return isinstance(v, (str, int, float, bool, type(None)))
+def _chrome_events(
+    spans: Iterable[Span],
+    instants: list[tuple[float, str, str, dict[str, Any]]],
+    tids: dict[str, int],
+    pid: int,
+) -> Iterator[dict[str, Any]]:
+    """Thread-name metadata for every track of ``tids``, then one complete
+    event per span, then one instant event per instant, one at a time."""
+    for resource, tid in tids.items():  # built in tid order
+        yield {
+            "ph": "M",
+            "name": "thread_name",
+            "pid": pid,
+            "tid": tid,
+            "ts": 0,
+            "args": {"name": resource},
+        }
+    for s in spans:
+        yield {
+            "ph": "X",
+            "name": s.name,
+            "cat": s.category,
+            "pid": pid,
+            "tid": tids[s.resource],
+            "ts": s.start * _US,
+            "dur": s.duration * _US,
+            "args": dict(s.args),
+        }
+    for time, name, subject, args in instants:
+        yield {
+            "ph": "i",
+            "s": "t",
+            "name": name,
+            "cat": "event",
+            "pid": pid,
+            "tid": tids[subject],
+            "ts": time * _US,
+            "args": dict(args),
+        }
 
 
 def chrome_trace_from_trace(trace: Trace) -> dict[str, Any]:
@@ -350,57 +352,13 @@ def write_chrome_trace_streaming(
     is what lets ``repro export-trace`` convert traces larger than RAM.
     """
     instant_list = list(instants)
-    resources: set[str] = {s.resource for s in make_spans()}
-    resources.update(subj for _, _, subj, _ in instant_list)
-    tids = _resource_tids(resources)
+    tids = _resource_tids(make_spans(), instant_list)
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"displayTimeUnit": "ms", "traceEvents": [')
-        first = True
-
-        def emit(obj: dict[str, Any]) -> None:
-            nonlocal first, count
-            fh.write(("\n" if first else ",\n") + json.dumps(obj))
-            first = False
+        for event in _chrome_events(make_spans(), instant_list, tids, 1):
+            fh.write((",\n" if count else "\n") + json.dumps(event))
             count += 1
-
-        for resource, tid in sorted(tids.items(), key=lambda kv: kv[1]):
-            emit(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": 1,
-                    "tid": tid,
-                    "ts": 0,
-                    "args": {"name": resource},
-                }
-            )
-        for s in make_spans():
-            emit(
-                {
-                    "ph": "X",
-                    "name": s.name,
-                    "cat": s.category,
-                    "pid": 1,
-                    "tid": tids[s.resource],
-                    "ts": s.start * _US,
-                    "dur": s.duration * _US,
-                    "args": dict(s.args),
-                }
-            )
-        for time, name, subject, args in instant_list:
-            emit(
-                {
-                    "ph": "i",
-                    "s": "t",
-                    "name": name,
-                    "cat": "event",
-                    "pid": 1,
-                    "tid": tids.get(subject, 0),
-                    "ts": time * _US,
-                    "args": dict(args),
-                }
-            )
-        fh.write("\n]}" if not first else "]}")
+        fh.write("\n]}" if count else "]}")
         fh.write("\n")
     return count

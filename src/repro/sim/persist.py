@@ -20,6 +20,7 @@ __all__ = [
     "trace_from_dict",
     "save_trace",
     "load_trace",
+    "run_facts",
     "result_summary",
     "save_result",
 ]
@@ -90,12 +91,13 @@ def load_trace(path: str | Path) -> Trace:
     return trace_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def result_summary(result) -> dict[str, Any]:
-    """The scalar facts of a :class:`~repro.executive.scheduler.RunResult`."""
+def run_facts(result) -> dict[str, Any]:
+    """The totals and per-stream times of a
+    :class:`~repro.executive.scheduler.RunResult`: the part of a run's
+    summary that :func:`result_summary` and
+    :func:`repro.sweep.runner.sweep_summary` share."""
     return {
         "makespan": result.makespan,
-        "n_workers": result.n_workers,
-        "placement": result.placement.value,
         "utilization": result.utilization,
         "compute_time": result.compute_time,
         "mgmt_time": result.mgmt_time,
@@ -103,6 +105,25 @@ def result_summary(result) -> dict[str, Any]:
         "tasks_executed": result.tasks_executed,
         "granules_executed": result.granules_executed,
         "lateral_handoffs": result.lateral_handoffs,
+        "streams": [
+            {
+                "stream": s.stream,
+                "start_time": s.start_time,
+                "complete_time": s.complete_time,
+                "wall_clock": s.wall_clock,
+            }
+            for s in result.stream_stats
+        ],
+    }
+
+
+def result_summary(result) -> dict[str, Any]:
+    """A saved run's summary: :func:`run_facts` plus the machine and the
+    per-phase times."""
+    return {
+        **run_facts(result),
+        "n_workers": result.n_workers,
+        "placement": result.placement.value,
         "phases": [
             {
                 "stream": s.stream,
@@ -118,15 +139,6 @@ def result_summary(result) -> dict[str, Any]:
                 "overlapped": s.overlapped,
             }
             for s in result.phase_stats
-        ],
-        "streams": [
-            {
-                "stream": s.stream,
-                "start_time": s.start_time,
-                "complete_time": s.complete_time,
-                "wall_clock": s.wall_clock,
-            }
-            for s in result.stream_stats
         ],
     }
 

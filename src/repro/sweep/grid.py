@@ -16,13 +16,10 @@ replication *fan*; this module generalizes it to a full grid:
 * the zero-copy data plane: pass ``shared_maps`` and the big read-only
   selection-map arrays travel to workers as
   :class:`~repro.sweep.shm.SharedMapStore` descriptors — O(1) pickle
-  bytes per task instead of O(map size);
-* the incremental composite-map rebuild: with ``shared_maps``, every
-  worker process keeps one :class:`~repro.core.enablement.CompositeMapCache`,
-  so adjacent grid points that differ only in target set (the
-  ``target_fraction`` axis) rebuild only the target-dependent suffix of
-  the composite granule map.  Without shared maps every cell draws its
-  own maps, no two cells could share an entry, and no cache is kept.
+  bytes per task instead of O(map size).  Every cell builds its own
+  composite granule maps from those arrays, exactly as a single run
+  does, so a cell's result never depends on which cells ran before it
+  in the same worker.
 
 Axis names resolve in three namespaces (``SPEC_AXES``, ``CONFIG_AXES``
 and ``FAULT_AXES`` in :mod:`repro.sweep.runner`), in order: sweep-spec fields

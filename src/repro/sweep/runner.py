@@ -165,20 +165,6 @@ class _SharedMapGenerator:
         return self._store[self._name]
 
 
-#: one composite-map cache per worker process: adjacent grid points that
-#: share mapping/maps/group-size rebuild only the target-dependent suffix
-_CELL_CACHE = None
-
-
-def _cell_cache():
-    global _CELL_CACHE
-    if _CELL_CACHE is None:
-        from repro.core.enablement import CompositeMapCache
-
-        _CELL_CACHE = CompositeMapCache()
-    return _CELL_CACHE
-
-
 def _run_unit(
     base_data: dict[str, Any],
     point: Mapping[str, Any],
@@ -194,9 +180,7 @@ def _run_unit(
     keys resolve in the namespaces :data:`SPEC_AXES`,
     :data:`CONFIG_AXES` and :data:`FAULT_AXES`; any other key is a
     workload-factory parameter.  ``shared`` maps replace the workload's
-    own map draws, and only then does the run use the process's
-    composite-map cache: without them every run draws its own maps, so
-    no two runs could share a cache entry.
+    own map draws, and each run builds its composite maps from them.
     """
     from repro.core.overlap import OverlapConfig, OverlapPolicy, SplitStrategy
     from repro.executive import TaskSizer, run_program
@@ -255,7 +239,6 @@ def _run_unit(
         sizer=TaskSizer(tasks_per_processor),
         seed=seed,
         faults=faults,
-        composite_cache=_cell_cache() if shared else None,
     )
     if instrument:
         count_run_into_worker_registry(result, workload)
@@ -320,17 +303,12 @@ def count_run_into_worker_registry(result: Any, workload: str) -> None:
 
 def sweep_summary(result) -> dict[str, Any]:
     """The JSON-able per-run summary every replication and grid cell
-    stores in its report (a saved run's summary is
-    :func:`repro.sim.persist.result_summary`)."""
+    stores in its report: :func:`repro.sim.persist.run_facts` plus the
+    overlap admission decisions."""
+    from repro.sim.persist import run_facts
+
     return {
-        "makespan": result.makespan,
-        "utilization": result.utilization,
-        "compute_time": result.compute_time,
-        "mgmt_time": result.mgmt_time,
-        "serial_time": result.serial_time,
-        "tasks_executed": result.tasks_executed,
-        "granules_executed": result.granules_executed,
-        "lateral_handoffs": result.lateral_handoffs,
+        **run_facts(result),
         "admissions": [
             {
                 "predecessor": d.predecessor,
@@ -340,15 +318,6 @@ def sweep_summary(result) -> dict[str, Any]:
                 "mapping_kind": d.mapping_kind,
             }
             for d in result.admission_decisions
-        ],
-        "streams": [
-            {
-                "stream": s.stream,
-                "start_time": s.start_time,
-                "complete_time": s.complete_time,
-                "wall_clock": s.wall_clock,
-            }
-            for s in result.stream_stats
         ],
     }
 
@@ -438,6 +407,19 @@ class SweepOutcome:
 # ---------------------------------------------------------------------- faults
 class SweepWorkerDied(RuntimeError):
     """Inline-mode stand-in for a killed pool worker (same recovery path)."""
+
+
+class _PoolExhausted(RuntimeError):
+    """A pool died more often than ``max_restarts`` allows; the message
+    names the ``missing`` keys, each a ``what``, that did not complete."""
+
+    def __init__(self, what: str, restarts: int, max_restarts: int, missing: list[Any]) -> None:
+        super().__init__(
+            f"{what} pool died {restarts} times (max_restarts={max_restarts}); "
+            f"{what}s {missing} not completed"
+        )
+        self.restarts = restarts
+        self.max_restarts = max_restarts
 
 
 def _apply_chaos(chaos: dict[str, Any] | None, what: str) -> None:
@@ -891,11 +873,7 @@ def run_pool_tasks(
                         or rung_idx == len(rungs) - 1
                     ):
                         missing = [k for k in keys if k not in done]
-                        raise RuntimeError(
-                            f"{what} pool died {restarts} times "
-                            f"(max_restarts={max_restarts}); {what}s "
-                            f"{missing} not completed"
-                        ) from None
+                        raise _PoolExhausted(what, restarts, max_restarts, missing) from None
                     supervisor.degrade(rung, rungs[rung_idx + 1][0], restarts)
                     break
             finally:
@@ -1027,6 +1005,10 @@ def _run_units(
                 size = model.pick_batch_size(ckey, len(pending), workers)
             size = size or 1
         restarts += run_batches([pending[i : i + size] for i in range(0, len(pending), size)])
+    except _PoolExhausted as exc:
+        # the pool's keys are batch indices: name the units instead
+        missing = [u[0] for u in units if u[0] not in summaries]
+        raise _PoolExhausted(unit, exc.restarts, exc.max_restarts, missing) from None
     finally:
         if manifest is not None:
             manifest.close()

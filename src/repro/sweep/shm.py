@@ -35,7 +35,7 @@ Lifecycle rules (the part shared memory makes easy to get wrong):
 
 A store implements ``Mapping[str, np.ndarray]``, so both sides can pass
 it anywhere a plain dict-of-arrays is accepted (``EnablementMapping``
-lookups, :func:`repro.core.enablement.maps_fingerprint`, …).
+lookups, :meth:`~repro.core.enablement.CompositeGranuleMap.build`, …).
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class SharedMapStore(Mapping):
 
     Construct with :meth:`create` (owner side) or :meth:`attach` (worker
     side); the constructor itself is internal.  Iteration order is sorted
-    by map name so fingerprints and descriptor payloads are canonical.
+    by map name so descriptor payloads are canonical.
     """
 
     # Mapping's value-comparison __eq__ would elementwise-compare numpy
@@ -281,18 +281,6 @@ class SharedMapStore(Mapping):
     def nbytes(self) -> int:
         """Total bytes resident in the shared segments."""
         return sum(a.nbytes for a in self._arrays.values())
-
-    def fingerprint(self) -> tuple:
-        """Identity key for :func:`repro.core.enablement.maps_fingerprint`.
-
-        Segments are written once and attached read-only, so the segment
-        names *are* the content identity — no content hash needed.  Owner
-        and attachment of the same store fingerprint identically.
-        """
-        return tuple(
-            (name, d["segment"], tuple(d["shape"]), d["dtype"])
-            for name, d in sorted(self._descriptors.items())
-        )
 
     # ------------------------------------------------------------------ lifecycle
     def close(self) -> None:

@@ -74,13 +74,6 @@ class TestCompositeGranuleMap:
         cm = CompositeGranuleMap.build(self.mapping, 4, 4, self.maps, group_size=4)
         assert cm.required_union() == GranuleSet.universe(4)
 
-    def test_overlapping_groups_rejected(self):
-        g = GranuleSet.from_ids([0, 1])
-        with pytest.raises(ValueError):
-            CompositeGranuleMap(
-                [CompositeGroup(g, GranuleSet.empty()), CompositeGroup(g, GranuleSet.empty())]
-            )
-
     def test_group_size_validation(self):
         with pytest.raises(ValueError):
             CompositeGranuleMap.build(self.mapping, 4, 4, self.maps, group_size=0)
@@ -321,17 +314,6 @@ class TestArrayBuild:
         assert cm.total_required() == 8 and cm.n_groups == 4
         assert cm.groups[1] == CompositeGroup(GranuleSet.from_ids([1]), GranuleSet.from_ids([1, 2]))
         assert cm.groups is cm.groups
-
-    def test_hand_assembled_map_matches_its_groups(self):
-        groups = [
-            CompositeGroup(GranuleSet.from_ranges([(4, 6)]), GranuleSet.from_ids([0, 2])),
-            CompositeGroup(GranuleSet.from_ids([0, 2]), GranuleSet.empty()),
-        ]
-        cm = CompositeGranuleMap(groups)
-        assert cm.groups == groups
-        assert cm.covered == GranuleSet.from_ids([0, 2, 4, 5])
-        assert cm.total_required() == 2
-        assert cm.required_union() == GranuleSet.from_ids([0, 2])
 
     def test_engine_build_at_benchmark_shape_makes_few_sets(self, monkeypatch):
         """Building the engine for a 50,000-granule fan-in-4 reverse-indirect

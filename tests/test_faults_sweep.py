@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -186,3 +187,27 @@ class TestSweepCLI:
     def test_resume_requires_manifest(self):
         code, _ = run_cli("sweep", "identity", "--resume")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "unit, extra",
+        [
+            pytest.param("replication", ["--replications", "6"], id="sweep"),
+            pytest.param("cell", ["--grid", "sim_workers=2,4", "--replications", "3"], id="grid"),
+        ],
+    )
+    def test_spent_restart_budget_names_the_missing_units(self, unit, extra, tmp_path, capsys):
+        # batches of three: the kill takes down the task holding units 3-5,
+        # and the error must name those units, not the task's batch index
+        manifest = tmp_path / "m.jsonl"
+        code, _ = run_cli(
+            "sweep", "identity", "--workers", "2", "--batch-size", "3",
+            "--kill-replication", "4", "--max-restarts", "0",
+            "--manifest", str(manifest), *extra,
+        )
+        assert code == 1
+        named = re.search(rf"{unit}s \[([\d, ]*)\] not completed", capsys.readouterr().err)
+        assert named is not None
+        landed = {json.loads(line)[unit] for line in manifest.read_text().splitlines()[1:]}
+        missing = [int(u) for u in named.group(1).split(", ")]
+        assert missing == sorted(set(range(6)) - landed)
+        assert {3, 4, 5} <= set(missing)

@@ -89,24 +89,6 @@ class TestCreateAttach:
 
 
 class TestIdentity:
-    def test_fingerprints_match_across_sides(self):
-        with SharedMapStore.create(MAPS) as store:
-            attached = SharedMapStore.attach(store.descriptors())
-            try:
-                assert store.fingerprint() == attached.fingerprint()
-            finally:
-                attached.close()
-
-    def test_distinct_stores_have_distinct_fingerprints(self):
-        with SharedMapStore.create(MAPS) as a, SharedMapStore.create(MAPS) as b:
-            assert a.fingerprint() != b.fingerprint()
-
-    def test_maps_fingerprint_dispatches_to_store(self):
-        from repro.core.enablement import maps_fingerprint
-
-        with SharedMapStore.create(MAPS) as store:
-            assert maps_fingerprint(store) == store.fingerprint()
-
     def test_stores_hash_by_object_identity(self):
         with SharedMapStore.create(MAPS) as a, SharedMapStore.create(MAPS) as b:
             assert len({a, b}) == 2

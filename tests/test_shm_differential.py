@@ -1,24 +1,19 @@
-"""Hypothesis differential tests for the zero-copy and incremental paths.
+"""Hypothesis differential tests for the zero-copy path.
 
-Two substitution properties back the grid engine's correctness claims:
-
-1. **Shared memory is invisible.**  Any mapping computation fed a
-   :class:`SharedMapStore` attachment must produce element-identical
-   results to the same computation fed the plain dict of arrays the
-   store was created from — `required_for` / `required_for_many` /
-   `enabled_by` never see the difference.
-2. **Incremental rebuild is invisible.**  `rebuild_targets` (the cached
-   suffix-rebuild the grid engine uses across `target_fraction` points)
-   must equal a cold `CompositeGranuleMap.build` of the new target.
+Shared memory is invisible: any mapping computation fed a
+:class:`SharedMapStore` attachment must produce element-identical results
+to the same computation fed the plain dict of arrays the store was
+created from — `required_for` / `required_for_many` / `enabled_by` and
+`CompositeGranuleMap.build` never see the difference.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.enablement import CompositeGranuleMap, CompositeMapCache, maps_fingerprint
+from repro.core.enablement import CompositeGranuleMap
 from repro.core.granule import GranuleSet, GroupRuns
 from repro.core.mapping import ForwardIndirectMapping, ReverseIndirectMapping
 from repro.sweep.shm import SharedMapStore
@@ -103,62 +98,3 @@ class TestSharedStoreSubstitution:
             )
         assert via_store.groups == via_dict.groups
 
-
-class TestIncrementalRebuild:
-    @settings(max_examples=60, deadline=None)
-    @given(case=indirect_case(), group_size=st.integers(1, 6), data=st.data())
-    def test_rebuild_targets_matches_cold_build(self, case, group_size, data):
-        mapping, maps, n_pred, n_succ = case
-        target = data.draw(granule_subset(n_succ))
-        target = target if target else None  # empty target -> full space
-        full = CompositeGranuleMap.build(
-            mapping, n_pred, n_succ, maps, group_size=group_size
-        )
-        rebuilt = full.rebuild_targets(target)
-        cold = CompositeGranuleMap.build(
-            mapping, n_pred, n_succ, maps, group_size=group_size, target=target
-        )
-        assert rebuilt.groups == cold.groups
-        # the incremental path must actually reuse the shared prefix: the
-        # first groups of a prefix target partition exist in the full map
-        assert rebuilt.rebuilt_groups <= len(rebuilt.groups)
-
-    @settings(max_examples=30, deadline=None)
-    @given(case=indirect_case(), group_size=st.integers(1, 6), frac=st.floats(0.1, 1.0))
-    def test_cache_hit_equals_cold_build_for_prefix_targets(self, case, group_size, frac):
-        mapping, maps, n_pred, n_succ = case
-        n_target = max(1, int(n_succ * frac))
-        target, _ = GranuleSet.universe(n_succ).take(n_target)
-        cache = CompositeMapCache()
-        warm_full = cache.build(mapping, n_pred, n_succ, maps, group_size=group_size)
-        via_cache = cache.build(
-            mapping, n_pred, n_succ, maps, group_size=group_size, target=target
-        )
-        cold = CompositeGranuleMap.build(
-            mapping, n_pred, n_succ, maps, group_size=group_size, target=target
-        )
-        assert via_cache.groups == cold.groups
-        assert cache.hits == 1 and cache.misses == 1
-        # prefix chunking aligns every whole target group with the full
-        # map's partition; only a ragged boundary group (target size not a
-        # multiple of group_size, short of the full space) recomputes
-        aligned = n_target % group_size == 0 or n_target == n_succ
-        assert via_cache.rebuilt_groups == (0 if aligned else 1)
-        assert warm_full.rebuilt_groups == len(warm_full.groups)
-
-    @settings(max_examples=30, deadline=None)
-    @given(case=indirect_case(), group_size=st.integers(1, 6))
-    def test_cache_misses_on_different_map_contents(self, case, group_size):
-        mapping, maps, n_pred, n_succ = case
-        # same shapes and dtypes, different (in-range) contents
-        other = {k: np.ascontiguousarray(np.flip(v, axis=1)) for k, v in maps.items()}
-        assume(any(not np.array_equal(maps[k], other[k]) for k in maps))
-        cache = CompositeMapCache()
-        a = cache.build(mapping, n_pred, n_succ, maps, group_size=group_size)
-        b = cache.build(mapping, n_pred, n_succ, other, group_size=group_size)
-        assert cache.misses == 2
-        assert maps_fingerprint(maps) != maps_fingerprint(other)
-        cold = CompositeGranuleMap.build(
-            mapping, n_pred, n_succ, other, group_size=group_size
-        )
-        assert b.groups == cold.groups

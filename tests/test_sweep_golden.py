@@ -17,12 +17,17 @@ from tests.golden.sweeps import load_cases, run_case, sha256, sorted_manifest, t
 
 CASES = load_cases()
 TORN = [case_id for case_id, entry in CASES.items() if entry.get("manifest")]
+#: every case inline, and the shared-map grid once more on two pool
+#: workers, where each worker builds the composite maps of the cells it runs
+RUNS = [pytest.param(case_id, 1, id=case_id) for case_id in sorted(CASES)] + [
+    pytest.param("grid/composite-maps", 2, id="grid/composite-maps-workers2")
+]
 
 
-@pytest.mark.parametrize("case_id", sorted(CASES))
-def test_inline_report_matches_golden(case_id):
+@pytest.mark.parametrize("case_id, workers", RUNS)
+def test_inline_report_matches_golden(case_id, workers):
     entry = CASES[case_id]
-    outcome = run_case(entry, workers=1)
+    outcome = run_case(entry, workers=workers)
     assert sha256(outcome.report.to_json()) == entry["digest"], (
         f"golden sweep case {case_id} changed (see tests/golden/README.md)"
     )
