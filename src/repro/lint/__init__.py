@@ -66,7 +66,6 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
             "SanitizerReport",
             "sanitize_result",
             "sanitize_saved",
-            "tasks_from_records",
             "tasks_from_spans",
             "tasks_from_trace",
         ),

@@ -39,7 +39,7 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, sub
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -51,7 +51,7 @@ from repro.core.classifier import (
 )
 from repro.core.phase import PhaseProgram
 from repro.lint.hb import GranuleRelation, relation_of
-from repro.sim.events import EventKind, LogRecord, parse_task_label
+from repro.sim.events import EventKind, parse_task_label
 from repro.sim.trace import Trace
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "SanitizerFinding",
     "SanitizerReport",
     "tasks_from_trace",
-    "tasks_from_records",
     "tasks_from_spans",
     "sanitize_result",
     "sanitize_saved",
@@ -114,66 +113,44 @@ _LABEL_MEMO: dict[str, tuple[str, int, tuple[tuple[int, int], ...]] | None] = {}
 _LABEL_MEMO_MAX = 250_000
 
 
-def tasks_from_records(records: Iterable[LogRecord]) -> tuple[list[ExecutedTask], list[str]]:
-    """Executed tasks (and parse notes) from trace log records."""
+def tasks_from_trace(trace: Trace) -> tuple[list[ExecutedTask], list[str]]:
+    """Executed tasks (and parse notes) from a finished :class:`Trace`,
+    in one pass over its task rows."""
     open_tasks: dict[tuple[str, str], list[float]] = {}
     out: list[ExecutedTask] = []
     notes: list[str] = []
-    seq = 0
     label_cache = _LABEL_MEMO
     if sum(map(len, label_cache)) > _LABEL_MEMO_MAX:
         label_cache.clear()
-    # locals instead of per-record enum attribute loads: this loop visits
-    # every trace record and sits on the --sanitize critical path
-    task_start, task_end, task_lost = (
-        EventKind.TASK_START, EventKind.TASK_END, EventKind.TASK_LOST,
-    )
-    for r in records:
-        kind = r.kind
-        if kind is not task_start and kind is not task_end and kind is not task_lost:
-            continue
-        label = r.detail.get("label", "")
+    task_start, task_lost = EventKind.TASK_START, EventKind.TASK_LOST
+    for time, kind, subject, label in trace.task_rows():
         try:
             parsed = label_cache[label]
         except KeyError:
             parsed = label_cache[label] = parse_task_label(label)
         if parsed is None:
-            notes.append(f"unparseable task label {label!r} on {r.subject}")
+            notes.append(f"unparseable task label {label!r} on {subject}")
             continue
-        phase, run, ranges = parsed
-        key = (r.subject, label)
         if kind is task_start:
-            open_tasks.setdefault(key, []).append(r.time)
+            open_tasks.setdefault((subject, label), []).append(time)
             continue
-        starts = open_tasks.get(key)
+        starts = open_tasks.get((subject, label))
         if not starts:
-            notes.append(f"{kind.value} without a start for {label!r} on {r.subject}")
+            notes.append(f"{kind.value} without a start for {label!r} on {subject}")
             continue
-        start = starts.pop(0)
         # positional construction: keyword dispatch is measurable at one
-        # call per executed task
+        # call per executed task; the arrival index is the tie-break seq
         out.append(
             ExecutedTask(
-                phase, run, ranges, r.subject, start, r.time,
-                kind is task_lost, seq,
+                parsed[0], parsed[1], parsed[2], subject, starts.pop(0), time,
+                kind is task_lost, len(out),
             )
         )
-        seq += 1
     for (proc, label), starts in open_tasks.items():
         for _ in starts:
             notes.append(f"task {label!r} on {proc} never finished (aborted run?)")
     out.sort(key=_TASK_ORDER)
     return out, notes
-
-
-def tasks_from_trace(trace: Trace) -> tuple[list[ExecutedTask], list[str]]:
-    """Executed tasks (and parse notes) from a finished :class:`Trace`."""
-    # the Trace indexes task events at log time; fall back to the full
-    # record scan for duck-typed traces without the index
-    records = getattr(trace, "task_records", None)
-    if records is None:
-        records = trace.records
-    return tasks_from_records(records)
 
 
 def tasks_from_spans(spans: Iterable[Any]) -> tuple[list[ExecutedTask], list[str]]:
@@ -453,25 +430,24 @@ def _vectorized_covered(
     n_tasks = len(succ_tasks)
     if n_tasks == 0:
         return 0, None, 0
-    lo = np.empty(n_tasks, np.int64)
-    hi = np.empty(n_tasks, np.int64)
-    st = np.empty(n_tasks)
-    for i, b in enumerate(succ_tasks):
-        if len(b.ranges) != 1:
-            return None
-        lo[i], hi[i] = b.ranges[0]
-        st[i] = b.start
-    width = int((hi - lo).min())
+    # plain lists first: per-element numpy stores cost more than the
+    # arrays built from them at these sizes
+    if any(len(b.ranges) != 1 for b in succ_tasks):
+        return None
+    los = [b.ranges[0][0] for b in succ_tasks]
+    his = [b.ranges[0][1] for b in succ_tasks]
+    width = min(map(sub, his, los))
     if dp[3] > width or ip[3] > width:
         return None
-    seg = np.asarray(seg_task, dtype=np.int64)
-    nonneg = seg >= 0
-    n_nonneg = int(nonneg.sum())
-    if len({s for s in seg_task if s >= 0}) != n_nonneg:
+    done_tasks = [s for s in seg_task if s >= 0]
+    n_nonneg = len(done_tasks)
+    if len(set(done_tasks)) != n_nonneg:
         return None  # a task split across segments: sets needed for dedup
+    lo = np.array(los, dtype=np.int64)
+    hi = np.array(his, dtype=np.int64)
+    st = np.array([b.start for b in succ_tasks]) + _EPS
     B = np.asarray(bounds, dtype=np.int64)
     D = np.asarray(seg_done)
-    st = st + _EPS
 
     # no clamping needed: every min/max below is against bounds already
     # inside [0, n_pred], so out-of-range interval ends are harmless
@@ -502,6 +478,7 @@ def _vectorized_covered(
     else:
         i0 = (lo + ip[1])[:, None]
         i1 = (hi + ip[2])[:, None]
+        nonneg = np.asarray(seg_task, dtype=np.int64) >= 0
         iov = (B[None, :-1] < i1) & (B[None, 1:] > i0) & nonneg[None, :]
         n_task_pairs = int(iov.sum())
     return violations, example, n_task_pairs
@@ -564,8 +541,11 @@ _PAIR_MEMO: "weakref.WeakKeyDictionary[PhaseProgram, dict]" = (
 
 def _pair_relations(
     program: PhaseProgram, pred: str, succ: str, serial: bool
-) -> tuple[PairClassification, PairClassification | None]:
-    """(declared, inferred) classifications; inferred ``None`` sans footprints."""
+) -> tuple[
+    PairClassification, PairClassification | None, GranuleRelation, GranuleRelation | None
+]:
+    """(declared, inferred) classifications and their granule relations;
+    the inferred pair is ``None`` sans footprints."""
     memo = _PAIR_MEMO.get(program)
     if memo is None:
         try:
@@ -580,11 +560,15 @@ def _pair_relations(
     pred_spec, succ_spec = program.phases[pred], program.phases[succ]
     declared = classification_of(program.mapping_between(pred, succ), pred, succ)
     if pred_spec.access is None or succ_spec.access is None:
-        result: tuple[PairClassification, PairClassification | None] = (
-            declared, None,
-        )
+        inferred = None
     else:
-        result = (declared, classify_pair(pred_spec, succ_spec, serial))
+        inferred = classify_pair(pred_spec, succ_spec, serial)
+    result = (
+        declared,
+        inferred,
+        relation_of(declared),
+        relation_of(inferred) if inferred is not None else None,
+    )
     if memo is not None:
         memo[key] = result
     return result
@@ -596,7 +580,6 @@ def _sanitize_stream(
     program: PhaseProgram,
     runs: list[_RunInfo],
     tasks_by_run: dict[int, list[ExecutedTask]],
-    stream_tasks: list[ExecutedTask],
 ) -> None:
     seq = program.phase_sequence()
     names = [r.name for r in runs]
@@ -663,11 +646,9 @@ def _sanitize_stream(
     needs_clocks = False
     for i, (pred_name, succ_name, serial) in enumerate(pairs):
         pred_info, succ_info = runs[i], runs[i + 1]
-        declared_cls, inferred_cls = _pair_relations(
+        declared_cls, inferred_cls, declared_rel, inferred_rel = _pair_relations(
             program, pred_name, succ_name, serial
         )
-        declared_rel = relation_of(declared_cls)
-        inferred_rel = relation_of(inferred_cls) if inferred_cls is not None else None
         declared_known = declared_rel.kind in ("empty", "all", "window")
         inferred_known = inferred_rel is not None and inferred_rel.kind in (
             "empty", "all", "window"
@@ -686,6 +667,9 @@ def _sanitize_stream(
     clocks: _VectorClocks | None = None
     task_by_seq: dict[int, ExecutedTask] = {}
     if needs_clocks:
+        stream_tasks = sorted(
+            (t for r in runs for t in tasks_by_run.get(r.gid, [])), key=_TASK_ORDER
+        )
         clocks = _VectorClocks(stream_tasks)
         task_by_seq = {t.seq: t for t in stream_tasks}
         for meta in pair_meta:
@@ -924,13 +908,7 @@ def _sanitize(
             (r for r in runs if r.stream == stream), key=lambda r: r.index
         )
         program = programs[stream] if stream < len(programs) else programs[-1]
-        stream_tasks = sorted(
-            (t for r in stream_runs for t in tasks_by_run.get(r.gid, [])),
-            key=_TASK_ORDER,
-        )
-        _sanitize_stream(
-            report, stream, program, stream_runs, tasks_by_run, stream_tasks
-        )
+        _sanitize_stream(report, stream, program, stream_runs, tasks_by_run)
     report.findings.sort(
         key=lambda f: (0 if f.severity == "error" else 1, f.stream, f.pred, f.succ)
     )

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.sim.persist import _jsonable
+from repro.sim.persist import _json_detail
 from repro.sim.trace import Trace
 
 __all__ = [
@@ -161,14 +161,8 @@ def iter_trace_spans(trace: Trace) -> Iterator[Span]:
     ``lambda: iter_trace_spans(trace)`` keeps peak memory at one span
     instead of one list per conversion.
     """
-    for iv in trace.intervals():
-        yield Span(
-            name=iv.label or iv.category,
-            resource=iv.resource,
-            start=iv.start,
-            end=iv.end,
-            category=iv.category,
-        )
+    for resource, start, end, category, label in trace.interval_rows():
+        yield Span(label or category, resource, start, end, category)
 
 
 def granule_task_spans(
@@ -199,13 +193,8 @@ def instants_from_trace(trace: Trace) -> list[tuple[float, str, str, dict[str, A
     """Point log records as ``(time, name, resource, args)`` instant tuples
     — the shape :func:`chrome_trace_events` and the streaming writer accept."""
     return [
-        (
-            r.time,
-            r.kind.value,
-            r.subject,
-            {k: v for k, v in r.detail.items() if _jsonable(v)},
-        )
-        for r in trace.records
+        (time, kind.value, subject, _json_detail(label, detail))
+        for time, kind, subject, label, detail in trace.record_rows()
     ]
 
 

@@ -12,8 +12,8 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.sim.events import EventKind, LogRecord
-from repro.sim.trace import TASK_EVENT_KINDS, Interval, Trace
+from repro.sim.events import EventKind
+from repro.sim.trace import Trace
 
 __all__ = [
     "trace_to_dict",
@@ -31,22 +31,22 @@ def trace_to_dict(trace: Trace) -> dict[str, Any]:
     return {
         "records": [
             {
-                "time": r.time,
-                "kind": r.kind.value,
-                "subject": r.subject,
-                "detail": {k: v for k, v in r.detail.items() if _jsonable(v)},
+                "time": time,
+                "kind": kind.value,
+                "subject": subject,
+                "detail": _json_detail(label, detail),
             }
-            for r in trace.records
+            for time, kind, subject, label, detail in trace.record_rows()
         ],
         "intervals": [
             {
-                "resource": iv.resource,
-                "start": iv.start,
-                "end": iv.end,
-                "category": iv.category,
-                "label": iv.label,
+                "resource": resource,
+                "start": start,
+                "end": end,
+                "category": category,
+                "label": label,
             }
-            for iv in trace.intervals()
+            for resource, start, end, category, label in trace.interval_rows()
         ],
     }
 
@@ -55,30 +55,32 @@ def _jsonable(v: Any) -> bool:
     return isinstance(v, (str, int, float, bool, type(None)))
 
 
+def _json_detail(label: str | None, detail: dict[str, Any] | None) -> dict[str, Any]:
+    """The saved detail of a :meth:`~repro.sim.trace.Trace.record_rows`
+    row: its label, or the JSON-scalar entries of its detail."""
+    if detail is None:
+        return {"label": label}
+    return {k: v for k, v in detail.items() if _jsonable(v)}
+
+
 def trace_from_dict(data: dict[str, Any]) -> Trace:
     """Rebuild a :class:`Trace` saved by :func:`trace_to_dict`."""
-    trace = Trace()
-    for r in data.get("records", []):
-        rec = LogRecord(
-            time=float(r["time"]),
-            kind=EventKind(r["kind"]),
-            subject=r["subject"],
-            detail=dict(r.get("detail", {})),
-        )
-        trace.records.append(rec)
-        if rec.kind in TASK_EVENT_KINDS:
-            trace.task_records.append(rec)
-    for iv in data.get("intervals", []):
-        trace.add_interval(
-            Interval(
-                resource=iv["resource"],
-                start=float(iv["start"]),
-                end=float(iv["end"]),
-                category=iv.get("category", "compute"),
-                label=iv.get("label", ""),
+    return Trace.from_rows(
+        (
+            (float(r["time"]), EventKind(r["kind"]), r["subject"], r.get("detail", {}))
+            for r in data.get("records", [])
+        ),
+        (
+            (
+                iv["resource"],
+                float(iv["start"]),
+                float(iv["end"]),
+                iv.get("category", "compute"),
+                iv.get("label", ""),
             )
-        )
-    return trace
+            for iv in data.get("intervals", [])
+        ),
+    )
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:

@@ -1,15 +1,33 @@
 """Busy/idle interval recording and utilization timelines.
 
-A :class:`Trace` collects :class:`~repro.sim.events.LogRecord` entries plus
-closed busy :class:`Interval` records per resource.  The metrics layer
-(:mod:`repro.metrics`) derives everything the paper reports — processor
-utilization during rundown, idle loss, computation-to-management ratio —
-from these intervals, so this module is the single source of truth for
-"who was busy when".
+A :class:`Trace` stores one run in columns whose layout only this module
+knows:
+
+* log records as parallel lists of time, kind, subject and label, plus a
+  sparse side table for the few records whose detail is more than one
+  label string (``PHASE_START`` with its ``run``, ``TASK_RETRY``,
+  ``PHASE_STALLED``, ...), and the positions of the computation-task
+  records (:data:`TASK_EVENT_KINDS`) the sanitizer replays;
+* closed busy intervals as per-resource rows ``(start, end, category,
+  label)``.
+
+Writing a record allocates nothing of its own (the time, kind, subject
+and label objects are the caller's); closing an interval allocates one
+row tuple.  Readers iterate rows: :meth:`Trace.record_rows`,
+:meth:`Trace.task_rows` and :meth:`Trace.interval_rows`.  The object
+views :attr:`Trace.records`, :meth:`Trace.records_of` and
+:meth:`Trace.intervals` build one :class:`~repro.sim.events.LogRecord`
+or :class:`Interval` per item read, for readers that want objects.
+
+The metrics layer (:mod:`repro.metrics`) derives everything the paper
+reports — processor utilization during rundown, idle loss,
+computation-to-management ratio — from these intervals, so this module
+is the single source of truth for "who was busy when".
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
@@ -80,26 +98,46 @@ def merge_intervals(intervals: Iterable[tuple[float, float]]) -> list[tuple[floa
     return merged
 
 
+def _negative_time(time: float) -> ValueError:
+    return ValueError(f"negative event time {time!r}")
+
+
 class Trace:
     """Accumulates log records and busy intervals for one simulation run."""
 
     def __init__(self) -> None:
-        self.records: list[LogRecord] = []
-        #: TASK_START/TASK_END/TASK_LOST records in arrival order.  The
-        #: trace sanitizer replays only these, and they are outnumbered
-        #: ~5:1 by management records — indexing at log time spares every
-        #: consumer the full-trace scan.
-        self.task_records: list[LogRecord] = []
-        self._intervals: dict[str, list[Interval]] = {}
+        # log records: entry i of each column belongs to record i
+        self._times: list[float] = []
+        self._kinds: list[EventKind] = []
+        self._subjects: list[str] = []
+        # the record's label when its whole detail is one ``label`` string;
+        # otherwise None, and a non-empty detail is in ``_details``
+        self._labels: list[str | None] = []
+        self._details: dict[int, dict[str, Any]] = {}
+        # positions of the TASK_EVENT_KINDS records, in arrival order
+        self._task_pos: list[int] = []
+        # closed intervals: resource -> rows (start, end, category, label)
+        self._rows: dict[str, list[tuple[float, float, str, str]]] = {}
         self._open: dict[tuple[str, str], tuple[float, str]] = {}
 
     # ------------------------------------------------------------------ logging
     def log(self, time: float, kind: EventKind, subject: str, **detail: Any) -> None:
         """Append a log record."""
-        rec = LogRecord(time=time, kind=kind, subject=subject, detail=detail)
-        self.records.append(rec)
+        if time < 0:
+            raise _negative_time(time)
+        pos = len(self._times)
         if kind in TASK_EVENT_KINDS:
-            self.task_records.append(rec)
+            self._task_pos.append(pos)
+        self._times.append(time)
+        self._kinds.append(kind)
+        self._subjects.append(subject)
+        label = detail.get("label")
+        if len(detail) == 1 and type(label) is str:
+            self._labels.append(label)
+        else:
+            self._labels.append(None)
+            if detail:
+                self._details[pos] = detail
 
     def begin_logged(
         self, resource: str, time: float, category: str, label: str, kind: EventKind
@@ -114,34 +152,43 @@ class Trace:
         key = (resource, category)
         if key in self._open:
             self.begin(resource, time, category, label)  # raises with detail
+        if time < 0:
+            raise _negative_time(time)
         self._open[key] = (time, label)
-        rec = LogRecord(time=time, kind=kind, subject=resource, detail={"label": label})
-        self.records.append(rec)
         if kind in TASK_EVENT_KINDS:
-            self.task_records.append(rec)
+            self._task_pos.append(len(self._times))
+        self._times.append(time)
+        self._kinds.append(kind)
+        self._subjects.append(resource)
+        self._labels.append(label)
 
     def end_logged(
         self, resource: str, time: float, category: str, label: str, kind: EventKind
-    ) -> Interval:
+    ) -> None:
         """:meth:`end` plus ``log(time, kind, resource, label=label)``.
 
         ``label`` is the *record* label; the interval keeps the label it
         was opened with, exactly as the unfused pair does.  Error cases
         defer to :meth:`end` for its diagnostic message.
         """
-        key = (resource, category)
-        if key not in self._open:
-            return self.end(resource, time, category)  # raises with detail
-        start, open_label = self._open.pop(key)
-        iv = Interval(
-            resource=resource, start=start, end=time, category=category, label=open_label
-        )
-        self._intervals.setdefault(resource, []).append(iv)
-        rec = LogRecord(time=time, kind=kind, subject=resource, detail={"label": label})
-        self.records.append(rec)
+        opened = self._open.pop((resource, category), None)
+        if opened is None:
+            self.end(resource, time, category)  # raises with detail
+        start, open_label = opened
+        if time < start:
+            Interval(resource, start, time, category, open_label)  # raises
+        if time < 0:
+            raise _negative_time(time)
+        rows = self._rows.get(resource)
+        if rows is None:
+            rows = self._rows[resource] = []
+        rows.append((start, time, category, open_label))
         if kind in TASK_EVENT_KINDS:
-            self.task_records.append(rec)
-        return iv
+            self._task_pos.append(len(self._times))
+        self._times.append(time)
+        self._kinds.append(kind)
+        self._subjects.append(resource)
+        self._labels.append(label)
 
     def begin(self, resource: str, time: float, category: str = "compute", label: str = "") -> None:
         """Open a busy interval on ``resource``.
@@ -188,52 +235,175 @@ class Trace:
                 f"{category!r} interval{hint}"
             )
         start, label = self._open.pop(key)
-        iv = Interval(resource=resource, start=start, end=time, category=category, label=label)
-        self._intervals.setdefault(resource, []).append(iv)
+        iv = Interval(resource, start, time, category, label)
+        self._rows.setdefault(resource, []).append((start, time, category, label))
         return iv
 
     def add_interval(self, interval: Interval) -> None:
         """Record a pre-built interval (used by analytic reconstructions)."""
-        self._intervals.setdefault(interval.resource, []).append(interval)
+        self._rows.setdefault(interval.resource, []).append(
+            (interval.start, interval.end, interval.category, interval.label)
+        )
+
+    @classmethod
+    def from_rows(
+        cls,
+        records: Iterable[tuple[float, EventKind, str, dict[str, Any]]],
+        intervals: Iterable[tuple[str, float, float, str, str]],
+    ) -> "Trace":
+        """A finished trace from ``(time, kind, subject, detail)`` records
+        and ``(resource, start, end, category, label)`` intervals, with
+        the checks :meth:`log` and :class:`Interval` make (``ValueError``
+        on a negative time or an interval that ends before it starts).
+        Detail dicts are copied."""
+        trace = cls()
+        for time, kind, subject, detail in records:
+            trace.log(time, kind, subject, **detail)
+        rows = trace._rows
+        for resource, start, end, category, label in intervals:
+            if end < start:
+                Interval(resource, start, end, category, label)  # raises
+            rows.setdefault(resource, []).append((start, end, category, label))
+        return trace
+
+    # ------------------------------------------------------------------ rows
+    def record_rows(self) -> Iterator[tuple[float, EventKind, str, str | None, dict[str, Any] | None]]:
+        """``(time, kind, subject, label, detail)`` per log record, in
+        arrival order.
+
+        A record whose whole detail is ``{"label": <str>}`` yields that
+        string and ``None``; every other record yields ``None`` and its
+        detail dict (empty when it has none; shared with the trace, so
+        read it, do not change it).
+        """
+        details = self._details
+        rows = zip(self._times, self._kinds, self._subjects, self._labels)
+        for pos, (time, kind, subject, label) in enumerate(rows):
+            if label is None:
+                yield time, kind, subject, None, details.get(pos, _NO_DETAIL)
+            else:
+                yield time, kind, subject, label, None
+
+    def task_rows(self) -> Iterator[tuple[float, EventKind, str, str]]:
+        """``(time, kind, subject, label)`` per computation-task record
+        (:data:`TASK_EVENT_KINDS`), in arrival order; ``label`` is ``""``
+        for a task record that carries none."""
+        times, kinds, subjects, labels = self._times, self._kinds, self._subjects, self._labels
+        for pos in self._task_pos:
+            label = labels[pos]
+            if label is None:
+                label = self._details.get(pos, _NO_DETAIL).get("label", "")
+            yield times[pos], kinds[pos], subjects[pos], label
+
+    def interval_rows(
+        self, resource: str | None = None, category: str | None = None
+    ) -> Iterator[tuple[str, float, float, str, str]]:
+        """``(resource, start, end, category, label)`` per closed interval,
+        optionally filtered: resources in sorted order, then each
+        resource's intervals in the order they closed."""
+        names = self.resources() if resource is None else [resource]
+        for name in names:
+            for start, end, cat, label in self._rows.get(name, ()):
+                if category is None or cat == category:
+                    yield name, start, end, cat, label
+
+    # ------------------------------------------------------------------ views
+    @property
+    def records(self) -> "RecordView":
+        """Every log record, as a read-only sequence of
+        :class:`~repro.sim.events.LogRecord` built per item read."""
+        return RecordView(self)
+
+    def _record(self, pos: int) -> LogRecord:
+        label = self._labels[pos]
+        if label is None:
+            detail = dict(self._details.get(pos, _NO_DETAIL))
+        else:
+            detail = {"label": label}
+        return LogRecord(self._times[pos], self._kinds[pos], self._subjects[pos], detail)
+
+    def records_of(self, kind: EventKind) -> list[LogRecord]:
+        """All log records of one kind, in arrival order."""
+        return [self._record(pos) for pos, k in enumerate(self._kinds) if k is kind]
+
+    def intervals(self, resource: str | None = None, category: str | None = None) -> Iterator[Interval]:
+        """Iterate recorded intervals as :class:`Interval` objects, in
+        :meth:`interval_rows` order, optionally filtered."""
+        for row in self.interval_rows(resource, category):
+            yield Interval(*row)
 
     # ------------------------------------------------------------------ queries
     def resources(self) -> list[str]:
         """Sorted list of resources that recorded at least one interval."""
-        return sorted(self._intervals)
-
-    def intervals(self, resource: str | None = None, category: str | None = None) -> Iterator[Interval]:
-        """Iterate recorded intervals, optionally filtered."""
-        if resource is None:
-            sources: Iterable[list[Interval]] = (self._intervals[r] for r in self.resources())
-        else:
-            sources = [self._intervals.get(resource, [])]
-        for ivs in sources:
-            for iv in ivs:
-                if category is None or iv.category == category:
-                    yield iv
+        return sorted(self._rows)
 
     def busy_time(self, resource: str | None = None, category: str | None = None) -> float:
         """Total busy time, with overlap within a resource merged away."""
         if resource is None:
             return sum(self.busy_time(r, category) for r in self.resources())
-        spans = [(iv.start, iv.end) for iv in self.intervals(resource, category)]
+        spans = [
+            (start, end)
+            for start, end, cat, _ in self._rows.get(resource, ())
+            if category is None or cat == category
+        ]
         return sum(e - s for s, e in merge_intervals(spans))
 
     def span(self) -> tuple[float, float]:
         """``(earliest start, latest end)`` over all intervals; (0, 0) if empty."""
-        starts = [iv.start for iv in self.intervals()]
-        ends = [iv.end for iv in self.intervals()]
-        if not starts:
+        tables = self._rows.values()
+        if not tables:
             return (0.0, 0.0)
-        return (min(starts), max(ends))
+        return (
+            min(row[0] for rows in tables for row in rows),
+            max(row[1] for rows in tables for row in rows),
+        )
 
     def makespan(self) -> float:
         """Latest interval end (simulation finish time proxy)."""
         return self.span()[1]
 
-    def records_of(self, kind: EventKind) -> list[LogRecord]:
-        """All log records of one kind, in time order."""
-        return [r for r in self.records if r.kind is kind]
+
+#: The detail of a record logged without one (never handed out to change).
+_NO_DETAIL: dict[str, Any] = {}
+
+
+class RecordView(Sequence):
+    """A trace's log records as a read-only sequence.
+
+    Length is O(1); indexing (negative indexes and slices included) and
+    iteration build one :class:`~repro.sim.events.LogRecord` per item
+    read.  Compares equal to a list or tuple of the same records.
+    """
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: Trace) -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace._times)
+
+    def __getitem__(self, index):
+        n = len(self)
+        if isinstance(index, slice):
+            return [self._trace._record(i) for i in range(*index.indices(n))]
+        i = index + n if index < 0 else index
+        if not 0 <= i < n:
+            raise IndexError("trace record index out of range")
+        return self._trace._record(i)
+
+    def __iter__(self) -> Iterator[LogRecord]:
+        return map(self._trace._record, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (RecordView, list, tuple)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"<RecordView of {len(self)} trace records>"
 
 
 def utilization_timeline(
@@ -262,10 +432,10 @@ def utilization_timeline(
         resources = trace.resources()
     deltas: list[tuple[float, int]] = []
     for r in resources:
-        for iv in trace.intervals(r, category):
-            if iv.duration > 0:
-                deltas.append((iv.start, +1))
-                deltas.append((iv.end, -1))
+        for _, start, end, _, _ in trace.interval_rows(r, category):
+            if end > start:
+                deltas.append((start, +1))
+                deltas.append((end, -1))
     if not deltas:
         return np.array([0.0]), np.array([0])
     deltas.sort()
