@@ -202,7 +202,6 @@ class _RunState:
         "assigned",
         "completed",
         "engine_to_next",
-        "maps",
         "overlap_aborted",
         "presplit_watermark",
         "inline_split_chunks",
@@ -224,7 +223,6 @@ class _RunState:
         self.assigned = GranuleSet.empty()
         self.completed = GranuleSet.empty()
         self.engine_to_next: EnablementEngine | None = None
-        self.maps: dict[str, np.ndarray] = {}
         self.overlap_aborted = False
         self.presplit_watermark = 0
         self.inline_split_chunks: set[int] = set()
@@ -688,7 +686,6 @@ class ExecutiveSimulation:
             group_size=self.config.composite_group_size,
             target=target,
         )
-        run.maps = maps
         run.engine_to_next = engine
         if engine.composite is not None:
             d += self.costs.map_entry * engine.composite.total_required()

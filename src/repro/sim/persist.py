@@ -51,8 +51,8 @@ def trace_to_dict(trace: Trace) -> dict[str, Any]:
     }
 
 
-def _jsonable(v: Any) -> bool:
-    return isinstance(v, (str, int, float, bool, type(None)))
+#: The detail values a saved trace keeps; any other value is dropped.
+_JSON_SCALARS = (str, int, float, bool, type(None))
 
 
 def _json_detail(label: str | None, detail: dict[str, Any] | None) -> dict[str, Any]:
@@ -60,7 +60,7 @@ def _json_detail(label: str | None, detail: dict[str, Any] | None) -> dict[str, 
     row: its label, or the JSON-scalar entries of its detail."""
     if detail is None:
         return {"label": label}
-    return {k: v for k, v in detail.items() if _jsonable(v)}
+    return {k: v for k, v in detail.items() if isinstance(v, _JSON_SCALARS)}
 
 
 def trace_from_dict(data: dict[str, Any]) -> Trace:

@@ -123,6 +123,10 @@ class Trace:
     # ------------------------------------------------------------------ logging
     def log(self, time: float, kind: EventKind, subject: str, **detail: Any) -> None:
         """Append a log record."""
+        self._append(time, kind, subject, detail)
+
+    def _append(self, time: float, kind: EventKind, subject: str, detail: dict[str, Any]) -> None:
+        """Append a record with any detail (copied if kept whole)."""
         if time < 0:
             raise _negative_time(time)
         pos = len(self._times)
@@ -137,7 +141,7 @@ class Trace:
         else:
             self._labels.append(None)
             if detail:
-                self._details[pos] = detail
+                self._details[pos] = dict(detail)
 
     def begin_logged(
         self, resource: str, time: float, category: str, label: str, kind: EventKind
@@ -258,7 +262,7 @@ class Trace:
         Detail dicts are copied."""
         trace = cls()
         for time, kind, subject, detail in records:
-            trace.log(time, kind, subject, **detail)
+            trace._append(time, kind, subject, detail)
         rows = trace._rows
         for resource, start, end, category, label in intervals:
             if end < start:

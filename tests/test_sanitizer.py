@@ -16,8 +16,10 @@ from repro.core.classifier import (
     classify_pair,
     enables_no_more_than,
 )
+from repro.executive import TaskSizer
 from repro.executive.scheduler import run_program
 from repro.lang import compile_program
+from repro.lint import sanitizer
 from repro.lint import (
     AdmissionGuard,
     CrossCheckError,
@@ -178,6 +180,60 @@ ORDERED = (
     "DISPATCH p ENABLE [ q/MAPPING=IDENTITY ]\n"
     "DISPATCH q\n"
 )
+
+
+def _many_task_saved_run(n_tasks: int, early: set[int]) -> dict:
+    """``p`` then ``q`` of ``ORDERED``, ``n_tasks`` one-granule tasks each;
+    the ``q`` tasks in ``early`` start before their ``p`` granule ends."""
+
+    def rec(time, kind, subject, label):
+        return {"time": time, "kind": kind, "subject": subject,
+                "detail": {"label": label}}
+
+    records = []
+    for g in range(n_tasks):
+        p = f"p#0:GranuleSet([{g},{g + 1}))"
+        q = f"q#1:GranuleSet([{g},{g + 1}))"
+        start = 5.0 if g in early else 10.0 + g
+        records += [
+            rec(0.0, "task_start", f"P{g}", p),
+            rec(10.0 + g, "task_end", f"P{g}", p),
+            rec(start, "task_start", f"P{g}", q),
+            rec(start + 1.0, "task_end", f"P{g}", q),
+        ]
+    source = ORDERED.replace("GRANULES=4", f"GRANULES={n_tasks}")
+    phases = [
+        {"stream": 0, "index": 0, "name": "p"},
+        {"stream": 0, "index": 1, "name": "q"},
+    ]
+    return source, {"summary": {"phases": phases}, "trace": {"records": records, "intervals": []}}
+
+
+class TestCoveredPairPaths:
+    """The broadcast and the per-task walk give one report."""
+
+    @pytest.mark.parametrize("n_tasks", [3, 40])
+    @pytest.mark.parametrize("early", [set(), {1}, {0, 2}])
+    def test_saved_runs(self, monkeypatch, n_tasks, early):
+        source, data = _many_task_saved_run(n_tasks, early)
+        program = compile_program(source)
+        reports = []
+        for threshold in (0, 10**9):
+            monkeypatch.setattr(sanitizer, "_BROADCAST_MIN_TASKS", threshold)
+            reports.append(sanitize_saved(data, program).to_dict())
+        assert reports[0] == reports[1]
+        assert reports[0]["ok"] == (not early)
+
+    @pytest.mark.parametrize("source", [CLEAN, RACY, ORDERED])
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_simulated_runs(self, monkeypatch, source, workers):
+        program = compile_program(source)
+        result = run_program(program, workers, seed=0, sizer=TaskSizer(8.0))
+        reports = []
+        for threshold in (0, 10**9):
+            monkeypatch.setattr(sanitizer, "_BROADCAST_MIN_TASKS", threshold)
+            reports.append(sanitize_result(result, program).to_dict())
+        assert reports[0] == reports[1]
 
 
 class TestSavedRuns:

@@ -323,6 +323,14 @@ class TestRecordView:
         with pytest.raises(TraceError, match="no open 'compute' interval"):
             tr.end_logged("P1", 1.0, "compute", TASK, EventKind.TASK_END)
 
+    def test_loaded_detail_keys_are_free(self):
+        """A saved detail may use any key, even a name of a ``log`` argument."""
+        record = {"time": 1.0, "kind": "note", "subject": "x", "detail": {"time": 2.0, "kind": "k"}}
+        data = {"records": [record], "intervals": []}
+        trace = trace_from_dict(data)
+        assert trace_to_dict(trace) == data
+        assert trace.records[0].detail == {"time": 2.0, "kind": "k"}
+
     def test_loaded_trace_checks_times(self):
         data = trace_to_dict(every_kind_trace())
         data["intervals"][0]["end"] = -1.0
