@@ -271,7 +271,9 @@ class Trace:
         return trace
 
     # ------------------------------------------------------------------ rows
-    def record_rows(self) -> Iterator[tuple[float, EventKind, str, str | None, dict[str, Any] | None]]:
+    def record_rows(
+        self,
+    ) -> Iterator[tuple[float, EventKind, str, str | None, dict[str, Any] | None]]:
         """``(time, kind, subject, label, detail)`` per log record, in
         arrival order.
 
@@ -367,7 +369,7 @@ class Trace:
         return self.span()[1]
 
 
-#: The detail of a record logged without one (never handed out to change).
+#: The shared detail of every record logged without one: read, never changed.
 _NO_DETAIL: dict[str, Any] = {}
 
 

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from repro.executive.scheduler import run_program
 from repro.lint import sanitize_result, sanitize_saved
-from repro.obs import export_jsonl, instants_from_trace, iter_trace_spans, write_chrome_trace_streaming
+from repro.obs import (
+    export_jsonl,
+    instants_from_trace,
+    iter_trace_spans,
+    write_chrome_trace_streaming,
+)
 from repro.sim.events import EventKind, LogRecord
 from repro.sim.persist import result_summary, trace_from_dict, trace_to_dict
 from repro.sim.trace import Interval, Trace, TraceError, merge_intervals, utilization_timeline
@@ -224,7 +229,10 @@ def every_kind_trace() -> Trace:
     tr.begin("EXEC", 2.0, "serial", "serial:s")
     tr.end("EXEC", 2.5, "serial")
     tr.log(2.5, EventKind.SERIAL_ACTION, "s")
-    tr.log(3.0, EventKind.PHASE_STALLED, "b", missing=4, granules="GranuleSet([0,4))", action="reassign")
+    tr.log(
+        3.0, EventKind.PHASE_STALLED, "b",
+        missing=4, granules="GranuleSet([0,4))", action="reassign",
+    )
     tr.log(3.5, EventKind.NOTE, "x", label="note", payload=OPAQUE)
     tr.log(3.5, EventKind.NOTE, "y", payload=OPAQUE)
     return tr
