@@ -75,16 +75,16 @@ def render_gantt(
     for res in resources:
         cells = [" "] * width
         priority = [0] * width  # 0 idle, 1 mgmt/serial, 2 compute
-        for iv in trace.intervals(res):
-            if iv.end <= t0 or iv.start >= t1:
+        for _, start, end, category, label in trace.interval_rows(res):
+            if end <= t0 or start >= t1:
                 continue
-            c0 = max(0, int((iv.start - t0) / dt))
-            c1 = min(width, int((iv.end - t0) / dt) + 1)
-            ch = _cell_char(iv.label, iv.category)
-            prio = 2 if iv.category == "compute" else 1
+            c0 = max(0, int((start - t0) / dt))
+            c1 = min(width, int((end - t0) / dt) + 1)
+            ch = _cell_char(label, category)
+            prio = 2 if category == "compute" else 1
             for c in range(c0, c1):
                 mid = t0 + (c + 0.5) * dt
-                if iv.start <= mid < iv.end and prio >= priority[c]:
+                if start <= mid < end and prio >= priority[c]:
                     cells[c] = ch
                     priority[c] = prio
         row = "".join(ch if ch != " " else "." for ch in cells)

@@ -114,9 +114,9 @@ def rundown_idle_by_processor(result: RunResult) -> dict[str, float]:
         busy = 0.0
         for t0, t1 in windows:
             clipped = [
-                (max(iv.start, t0), min(iv.end, t1))
-                for iv in result.trace.intervals(name, "compute")
-                if iv.start < t1 and iv.end > t0
+                (max(start, t0), min(end, t1))
+                for _, start, end, _, _ in result.trace.interval_rows(name, "compute")
+                if start < t1 and end > t0
             ]
             busy += sum(e - s for s, e in merge_intervals(clipped))
         out[name] = max(0.0, total_window - busy)

@@ -45,9 +45,9 @@ def utilization_between(trace: Trace, n_workers: int, t0: float, t1: float) -> f
     busy = 0.0
     for r in _worker_resources(trace):
         spans = [
-            (max(iv.start, t0), min(iv.end, t1))
-            for iv in trace.intervals(r, "compute")
-            if iv.start < t1 and iv.end > t0
+            (max(start, t0), min(end, t1))
+            for _, start, end, _, _ in trace.interval_rows(r, "compute")
+            if start < t1 and end > t0
         ]
         busy += sum(e - s for s, e in merge_intervals(spans))
     return busy / (n_workers * (t1 - t0))
