@@ -9,10 +9,12 @@ the trace is stored cannot move what a user reads from a ``RUN.json``.
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
 
+from repro.cli import main
 from tests.golden.reads import OUTPUTS, load_cases, read_digests
 
 CASES = load_cases()
@@ -30,7 +32,9 @@ def test_reads_match_golden(case_id, tmp_path):
 
 def test_fault_case_records_every_fault_kind(tmp_path):
     """The crash-and-transient case is the one that reads fault records."""
-    read_digests(CASES["casper-w16-s3-crash-transient"]["simulate"], tmp_path)
-    data = json.loads((tmp_path / "RUN.json").read_text(encoding="utf-8"))
+    run = tmp_path / "RUN.json"
+    argv = ["simulate", *CASES["casper-w16-s3-crash-transient"]["simulate"], "--save", str(run)]
+    assert main(argv, out=io.StringIO()) == 0
+    data = json.loads(run.read_text(encoding="utf-8"))
     kinds = {r["kind"] for r in data["trace"]["records"]}
     assert {"task_lost", "processor_failed", "task_retry", "phase_stalled"} <= kinds
