@@ -405,15 +405,6 @@ def _iv_params(
     return ("window", info[0], info[1], info[2])
 
 
-#: Successor tasks from which a covered pair is checked by one broadcast
-#: instead of the per-task segment walk.  The broadcast's numpy calls
-#: cost the same for any size and run cold right after the simulation
-#: (the ``--sanitize`` shape): 17 tasks a pair took 208 µs walked and
-#: 252 µs broadcast, 33 tasks 360 and 381 µs, 48 tasks the same; warm,
-#: the broadcast wins from about 32.
-_BROADCAST_MIN_TASKS = 32
-
-
 def _vectorized_covered(
     succ_tasks: Sequence[ExecutedTask],
     bounds: list[int],
@@ -731,17 +722,14 @@ def _sanitize_stream(
             # fast path: declared ⊇ inferred for every task, so no race or
             # latent-race can exist — only the executive interlock needs
             # checking.  One broadcast over (task, completion segment)
-            # handles a pair of many tasks; the per-task segment walk
-            # below takes the few-task pairs and the shapes the broadcast
-            # cannot express.
+            # handles the whole pair; the per-task segment walk below is
+            # the fallback for shapes the broadcast cannot express.
             bounds, seg_done, seg_task = segments_for(pred_info)
             n_seg = len(seg_done)
-            fast = None
-            if len(succ_tasks) >= _BROADCAST_MIN_TASKS:
-                fast = _vectorized_covered(
-                    succ_tasks, bounds, seg_done, seg_task,
-                    declared_rel, inferred_rel, n_pred,
-                )
+            fast = _vectorized_covered(
+                succ_tasks, bounds, seg_done, seg_task,
+                declared_rel, inferred_rel, n_pred,
+            )
             if fast is not None:
                 violations, ex, n_tp = fast
                 report.n_task_pairs += n_tp

@@ -209,6 +209,11 @@ def _many_task_saved_run(n_tasks: int, early: set[int]) -> dict:
     return source, {"summary": {"phases": phases}, "trace": {"records": records, "intervals": []}}
 
 
+def _walk_only(monkeypatch) -> None:
+    """Check every covered pair with the per-task segment walk."""
+    monkeypatch.setattr(sanitizer, "_vectorized_covered", lambda *args: None)
+
+
 class TestCoveredPairPaths:
     """The broadcast and the per-task walk give one report."""
 
@@ -217,23 +222,19 @@ class TestCoveredPairPaths:
     def test_saved_runs(self, monkeypatch, n_tasks, early):
         source, data = _many_task_saved_run(n_tasks, early)
         program = compile_program(source)
-        reports = []
-        for threshold in (0, 10**9):
-            monkeypatch.setattr(sanitizer, "_BROADCAST_MIN_TASKS", threshold)
-            reports.append(sanitize_saved(data, program).to_dict())
-        assert reports[0] == reports[1]
-        assert reports[0]["ok"] == (not early)
+        broadcast = sanitize_saved(data, program).to_dict()
+        _walk_only(monkeypatch)
+        assert sanitize_saved(data, program).to_dict() == broadcast
+        assert broadcast["ok"] == (not early)
 
     @pytest.mark.parametrize("source", [CLEAN, RACY, ORDERED])
     @pytest.mark.parametrize("workers", [2, 8])
     def test_simulated_runs(self, monkeypatch, source, workers):
         program = compile_program(source)
         result = run_program(program, workers, seed=0, sizer=TaskSizer(8.0))
-        reports = []
-        for threshold in (0, 10**9):
-            monkeypatch.setattr(sanitizer, "_BROADCAST_MIN_TASKS", threshold)
-            reports.append(sanitize_result(result, program).to_dict())
-        assert reports[0] == reports[1]
+        broadcast = sanitize_result(result, program).to_dict()
+        _walk_only(monkeypatch)
+        assert sanitize_result(result, program).to_dict() == broadcast
 
 
 class TestSavedRuns:
