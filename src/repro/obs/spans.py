@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.sim.persist import _json_detail
 from repro.sim.trace import Trace
 
 __all__ = [
@@ -193,8 +192,8 @@ def instants_from_trace(trace: Trace) -> list[tuple[float, str, str, dict[str, A
     """Point log records as ``(time, name, resource, args)`` instant tuples
     — the shape :func:`chrome_trace_events` and the streaming writer accept."""
     return [
-        (time, kind.value, subject, _json_detail(label, detail))
-        for time, kind, subject, label, detail in trace.record_rows()
+        (time, kind.value, subject, detail)
+        for time, kind, subject, detail in trace.json_record_rows()
     ]
 
 

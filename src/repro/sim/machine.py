@@ -427,7 +427,7 @@ class Machine:
             ev = self._task_events.pop(proc.index, None)
             if ev is not None:
                 ev.cancel()
-            self.trace.end(proc.name, self.sim.now, "compute")
+            self.trace.close(proc.name, self.sim.now, "compute")
             lost_label = proc.current_label
             self.trace.log(
                 self.sim.now, EventKind.TASK_LOST, proc.name, label=lost_label
@@ -574,7 +574,7 @@ class Machine:
             )
         if host is not None:
             if not skipped:
-                trace.end(self._proc_names[host.index], now, job.category)
+                trace.close(self._proc_names[host.index], now, job.category)
             host.state = ProcessorState.IDLE
             insort(self._idle_sorted, host.index)
         if self._obs is not None and not skipped:

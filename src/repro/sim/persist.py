@@ -34,9 +34,9 @@ def trace_to_dict(trace: Trace) -> dict[str, Any]:
                 "time": time,
                 "kind": kind.value,
                 "subject": subject,
-                "detail": _json_detail(label, detail),
+                "detail": detail,
             }
-            for time, kind, subject, label, detail in trace.record_rows()
+            for time, kind, subject, detail in trace.json_record_rows()
         ],
         "intervals": [
             {
@@ -49,18 +49,6 @@ def trace_to_dict(trace: Trace) -> dict[str, Any]:
             for resource, start, end, category, label in trace.interval_rows()
         ],
     }
-
-
-#: The detail values a saved trace keeps; any other value is dropped.
-_JSON_SCALARS = (str, int, float, bool, type(None))
-
-
-def _json_detail(label: str | None, detail: dict[str, Any] | None) -> dict[str, Any]:
-    """The saved detail of a :meth:`~repro.sim.trace.Trace.record_rows`
-    row: its label, or the JSON-scalar entries of its detail."""
-    if detail is None:
-        return {"label": label}
-    return {k: v for k, v in detail.items() if isinstance(v, _JSON_SCALARS)}
 
 
 def trace_from_dict(data: dict[str, Any]) -> Trace:

@@ -13,7 +13,7 @@ knows:
 
 Writing a record allocates nothing of its own (the time, kind, subject
 and label objects are the caller's); closing an interval allocates one
-row tuple.  Readers iterate rows: :meth:`Trace.record_rows`,
+row tuple.  Readers iterate rows: :meth:`Trace.json_record_rows`,
 :meth:`Trace.task_rows` and :meth:`Trace.interval_rows`.  The object
 views :attr:`Trace.records`, :meth:`Trace.records_of` and
 :meth:`Trace.intervals` build one :class:`~repro.sim.events.LogRecord`
@@ -238,10 +238,20 @@ class Trace:
                 f"end({resource!r}, t={time}, {category!r}): no open "
                 f"{category!r} interval{hint}"
             )
-        start, label = self._open.pop(key)
-        iv = Interval(resource, start, time, category, label)
+        self.close(resource, time, category)
+        return Interval(resource, *self._rows[resource][-1])
+
+    def close(self, resource: str, time: float, category: str = "compute") -> None:
+        """:meth:`end` without building the :class:`Interval` it returns,
+        for the machine, which never reads it.  Error cases defer to
+        :meth:`end` for its diagnostic message."""
+        opened = self._open.pop((resource, category), None)
+        if opened is None:
+            self.end(resource, time, category)  # raises with detail
+        start, label = opened
+        if time < start:
+            Interval(resource, start, time, category, label)  # raises
         self._rows.setdefault(resource, []).append((start, time, category, label))
-        return iv
 
     def add_interval(self, interval: Interval) -> None:
         """Record a pre-built interval (used by analytic reconstructions)."""
@@ -259,9 +269,12 @@ class Trace:
         and ``(resource, start, end, category, label)`` intervals, with
         the checks :meth:`log` and :class:`Interval` make (``ValueError``
         on a negative time or an interval that ends before it starts).
-        Detail dicts are copied."""
+        Detail dicts are copied; any other detail is turned into a dict
+        first, so a malformed one raises as ``dict(detail)`` does."""
         trace = cls()
         for time, kind, subject, detail in records:
+            if type(detail) is not dict:
+                detail = dict(detail)
             trace._append(time, kind, subject, detail)
         rows = trace._rows
         for resource, start, end, category, label in intervals:
@@ -271,24 +284,23 @@ class Trace:
         return trace
 
     # ------------------------------------------------------------------ rows
-    def record_rows(
-        self,
-    ) -> Iterator[tuple[float, EventKind, str, str | None, dict[str, Any] | None]]:
-        """``(time, kind, subject, label, detail)`` per log record, in
-        arrival order.
-
-        A record whose whole detail is ``{"label": <str>}`` yields that
-        string and ``None``; every other record yields ``None`` and its
-        detail dict (empty when it has none; shared with the trace, so
-        read it, do not change it).
-        """
+    def json_record_rows(self) -> Iterator[tuple[float, EventKind, str, dict[str, Any]]]:
+        """``(time, kind, subject, detail)`` per log record, in arrival
+        order, the form a saved or exported trace keeps: ``detail`` is a
+        new dict of the record's detail entries whose values are JSON
+        scalars (``str``, ``int``, ``float``, ``bool``, ``None``)."""
         details = self._details
         rows = zip(self._times, self._kinds, self._subjects, self._labels)
         for pos, (time, kind, subject, label) in enumerate(rows):
             if label is None:
-                yield time, kind, subject, None, details.get(pos, _NO_DETAIL)
+                detail = {
+                    k: v
+                    for k, v in details.get(pos, _NO_DETAIL).items()
+                    if isinstance(v, _JSON_SCALARS)
+                }
             else:
-                yield time, kind, subject, label, None
+                detail = {"label": label}
+            yield time, kind, subject, detail
 
     def task_rows(self) -> Iterator[tuple[float, EventKind, str, str]]:
         """``(time, kind, subject, label)`` per computation-task record
@@ -371,6 +383,9 @@ class Trace:
 
 #: The shared detail of every record logged without one: read, never changed.
 _NO_DETAIL: dict[str, Any] = {}
+
+#: The detail values a saved trace keeps; any other value is dropped.
+_JSON_SCALARS = (str, int, float, bool, type(None))
 
 
 class RecordView(Sequence):

@@ -138,6 +138,22 @@ class TestExportTrace:
         code, _ = run_cli("export-trace", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["export-trace", "profile"])
+    def test_non_dict_detail(self, tmp_path, capsys, command):
+        import json
+
+        src = self._saved_run(tmp_path)
+        data = json.loads(src.read_text())
+        data["trace"]["records"][0]["detail"] = "x"
+        src.write_text(json.dumps(data))
+        code, _ = run_cli(command, str(src))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        # a list of pairs loads, as dict() reads it
+        data["trace"]["records"][0]["detail"] = []
+        src.write_text(json.dumps(data))
+        assert run_cli(command, str(src))[0] == 0
+
 
 class TestCompile:
     SOURCE = (

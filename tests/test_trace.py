@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.executive.scheduler import run_program
+from repro.faults import FaultPlan, ProcessorCrash
 from repro.lint import sanitize_result, sanitize_saved
 from repro.obs import (
     export_jsonl,
@@ -16,6 +17,7 @@ from repro.obs import (
     write_chrome_trace_streaming,
 )
 from repro.sim.events import EventKind, LogRecord
+from repro.sim.machine import ExecutivePlacement
 from repro.sim.persist import result_summary, trace_from_dict, trace_to_dict
 from repro.sim.trace import Interval, Trace, TraceError, merge_intervals, utilization_timeline
 from repro.sweep.runner import build_workload
@@ -373,6 +375,7 @@ def built(monkeypatch):
     return counts
 
 
+@pytest.mark.parametrize("placement", list(ExecutivePlacement))
 @pytest.mark.parametrize(
     "workload, params",
     [
@@ -381,10 +384,19 @@ def built(monkeypatch):
         ("casper", {"granule_scale": 0.1}),
     ],
 )
-def test_simulation_builds_no_records_or_intervals(built, workload, params):
+def test_simulation_builds_no_records_or_intervals(built, workload, params, placement):
     """A fault-free run writes columns; objects exist only for readers."""
-    result = run_program(build_workload(workload, params), 4, seed=0)
+    result = run_program(build_workload(workload, params), 4, seed=0, placement=placement)
     assert len(result.trace.records) > 0 and result.compute_time > 0
+    assert built == {"records": 0, "intervals": 0}
+
+
+def test_crash_builds_no_records_or_intervals(built):
+    """A crashed processor's task interval is closed as a row too."""
+    plan = FaultPlan(seed=7, faults=(ProcessorCrash(1, 5.0),))
+    result = run_program(build_workload("casper", {"granule_scale": 0.1}), 4, seed=0, faults=plan)
+    lost = [kind for _, kind, _, _ in result.trace.task_rows() if kind is EventKind.TASK_LOST]
+    assert lost == [EventKind.TASK_LOST]
     assert built == {"records": 0, "intervals": 0}
 
 
