@@ -10,9 +10,9 @@ Commands
     Run a built-in workload on the simulated executive and report
     makespan/utilization (optionally an ASCII Gantt chart).
 ``stats``
-    Run a built-in workload with full telemetry and print the overlap
-    admission decisions, per-processor rundown idle attribution, and the
-    complete metrics snapshot.
+    Run a built-in workload and print the overlap admission decisions,
+    per-processor rundown idle attribution, and the complete metrics
+    snapshot derived from the finished run.
 ``export-trace FILE``
     Convert a saved run (``simulate --save``) or a spans JSONL file to a
     Chrome trace-event JSON (loadable in Perfetto / chrome://tracing) or
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_stats = sub.add_parser(
-        "stats", help="run a workload with telemetry; print the metrics snapshot"
+        "stats", help="run a workload; print the metrics snapshot derived from its trace"
     )
     _add_run_options(p_stats, workload_optional=True)
     p_stats.add_argument("--save", metavar="FILE", help="write the run (summary + trace) to JSON")
@@ -468,7 +468,7 @@ def _fault_arguments(args):
     return kwargs
 
 
-def _run_workload(args, telemetry=None):
+def _run_workload(args):
     """Build and run the workload described by shared ``_add_run_options``.
 
     Returns ``(result, program)`` — the program so post-run validators
@@ -496,7 +496,6 @@ def _run_workload(args, telemetry=None):
         placement=placement,
         seed=args.seed,
         extensions=extensions,
-        telemetry=telemetry,
         **_fault_arguments(args),
     )
     return result, program
@@ -586,7 +585,12 @@ def _export_metrics(args, registry, out) -> int:
 
 def _cmd_stats(args, out) -> int:
     from repro.metrics import merged_rundown_windows, rundown_idle_by_processor
-    from repro.obs import Telemetry, record_rundown_metrics, render_snapshot
+    from repro.obs import (
+        MetricsRegistry,
+        record_run_metrics,
+        record_rundown_metrics,
+        render_snapshot,
+    )
 
     if args.sweep:
         return _cmd_stats_sweep(args, out)
@@ -595,19 +599,19 @@ def _cmd_stats(args, out) -> int:
         return 2
     from repro.faults import PhaseAbortError
 
-    telemetry = Telemetry()
     try:
-        result, _ = _run_workload(args, telemetry=telemetry)
+        result, _ = _run_workload(args)
     except (PhaseAbortError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    record_rundown_metrics(result, telemetry.metrics)
+    registry = MetricsRegistry()
+    record_run_metrics(result, registry)
+    record_rundown_metrics(result, registry)
 
     mode = "barrier" if args.barrier else "next-phase overlap"
     print(f"workload     : {args.workload} ({mode})", file=out)
     print(f"makespan     : {result.makespan:.2f}", file=out)
     print(f"utilization  : {result.utilization:.1%}", file=out)
-    print(f"bus events   : {telemetry.bus.events_published}", file=out)
     _print_fault_lines(result, out)
 
     print("\noverlap admissions", file=out)
@@ -632,8 +636,8 @@ def _cmd_stats(args, out) -> int:
     print(f"  total idle     : {sum(idle.values()):.2f} processor-seconds", file=out)
 
     print("\nmetrics snapshot", file=out)
-    print(render_snapshot(telemetry.metrics.snapshot()), file=out)
-    rc = _export_metrics(args, telemetry.metrics, out)
+    print(render_snapshot(registry.snapshot()), file=out)
+    rc = _export_metrics(args, registry, out)
     if rc:
         return rc
     if args.save:

@@ -34,12 +34,6 @@ from repro.core.mapping import MappingKind
 from repro.core.overlap import SplitStrategy
 from repro.core.phase import ConstantCost
 from repro.executive.descriptions import ComputationDescription, DescriptionState
-from repro.obs.events import (
-    GranuleCompleted,
-    GranuleDispatched,
-    PhaseEnded,
-    QueueDepthChanged,
-)
 from repro.sim.events import EventKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -170,8 +164,7 @@ class _AssignJob:
             chunk_index = len(run.assigned) // tsize
             if run.presplit_watermark <= chunk_index:
                 d += hl.cost_split
-                if hl.m_splits is not None:
-                    hl.m_splits.inc(kind="demand")
+                run.stats.demand_splits += 1
             child = head.split(tsize)
         else:
             queue.remove(head)
@@ -249,16 +242,6 @@ class _TaskDone:
         ex.tasks_executed += 1
         ex.granules_executed += len(desc.granules)
         cache = hl.caches[desc.phase_run]
-        if ex.obs is not None:
-            ex.obs.bus.publish(
-                GranuleCompleted(
-                    ex.sim._now,
-                    hl.proc_names[proc.index],
-                    cache.name,
-                    cache.gid,
-                    len(desc.granules),
-                )
-            )
         if hl.lateral:
             hl.try_lateral_handoff(cache, desc, proc)
         hl.machine.submit_job(_CompletionJob(hl, cache, desc))
@@ -328,14 +311,10 @@ class _CompletionJob:
             child_succ.enabled = child_succ.enabled | child.granules
             child_succ.queued = child_succ.queued | child.granules
             ex.queue.push(child)
-        if ex.obs is not None:
-            ex.obs.bus.publish(QueueDepthChanged(ex.sim._now, len(hl.queue)))
         if run.complete and run.stats.complete_time is None:
             now = ex.sim._now
             run.stats.complete_time = now
             ex.trace.log(now, EventKind.PHASE_END, cache.name, run=cache.gid)
-            if ex.obs is not None:
-                ex.obs.bus.publish(PhaseEnded(now, cache.name, cache.gid))
             ex._advance_frontier(run.stream)
         hl.dispatch_idle()
 
@@ -407,7 +386,6 @@ class HotLoop:
         "queue",
         "caches",
         "assign_labels",
-        "proc_names",
         "pending",
         "affinity",
         "cost_assign",
@@ -423,7 +401,6 @@ class HotLoop:
         "remote_penalty",
         "data_proximity",
         "proximity_scan",
-        "m_splits",
     )
 
     def __init__(self, ex: "ExecutiveSimulation") -> None:
@@ -432,7 +409,6 @@ class HotLoop:
         self.queue = ex.queue
         self.caches = [_RunCache(ex, run) for run in ex.runs]
         self.assign_labels = [f"assign:P{i}" for i in range(ex.machine.n_workers)]
-        self.proc_names = ex.machine._proc_names
         #: processor indices with an assignment job queued or running
         self.pending: set[int] = set()
         #: worker index -> (start, stop) of the granule *data region* it
@@ -458,7 +434,6 @@ class HotLoop:
         self.remote_penalty = ext.remote_penalty
         self.data_proximity = ext.data_proximity
         self.proximity_scan = ext.proximity_scan
-        self.m_splits = ex._m_splits
 
     # ------------------------------------------------------------- dispatch
     def select_desc(self, proc: "Processor") -> ComputationDescription:
@@ -550,15 +525,6 @@ class HotLoop:
         run.assigned = run.assigned | granules
         run.queued = run.queued - granules
         run.stats.tasks += 1
-        obs = ex.obs
-        if obs is not None:
-            bus = obs.bus
-            bus.publish(
-                GranuleDispatched(
-                    now, self.proc_names[proc.index], cache.name, cache.gid, len(granules)
-                )
-            )
-            bus.publish(QueueDepthChanged(now, len(self.queue)))
         self.affinity[proc.index] = (granules.min(), granules.max() + 1)
         stats = run.stats
         if stats.first_task_start is None:

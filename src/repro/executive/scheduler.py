@@ -48,7 +48,6 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -77,23 +76,11 @@ from repro.faults import (
     RecoveryPolicy,
     RundownFailureReport,
 )
-from repro.obs.events import (
-    GranuleRetried,
-    ObsEvent,
-    OverlapAdmitted,
-    OverlapRejected,
-    PhaseStalled,
-    PhaseStarted,
-    QueueDepthChanged,
-)
 from repro.sim.engine import Event, Simulator
 from repro.sim.events import EventKind
 from repro.sim.machine import CHIEF_LANE, ExecutivePlacement, Machine, Processor
 from repro.sim.rng import RngStreams
 from repro.sim.trace import Trace
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.telemetry import Telemetry
 
 __all__ = ["PhaseRunStats", "StreamStats", "RunResult", "ExecutiveSimulation", "run_program"]
 
@@ -113,6 +100,10 @@ class PhaseRunStats:
     complete_time: float | None = None
     tasks: int = 0
     overlapped: bool = False
+    #: Descriptions split at assignment (demand splitting).
+    demand_splits: int = 0
+    #: Enabling granules split out into priority-elevated descriptions.
+    elevated: int = 0
 
     @property
     def rundown_window(self) -> tuple[float, float] | None:
@@ -164,6 +155,8 @@ class RunResult:
     processor_failures: int = 0
     #: Barrier-watchdog stall detections.
     stalls: int = 0
+    #: Discrete events the simulator executed.
+    events_processed: int = 0
 
     @property
     def utilization(self) -> float:
@@ -340,7 +333,6 @@ class ExecutiveSimulation:
         placement: ExecutivePlacement = ExecutivePlacement.DEDICATED,
         seed: int = 0,
         extensions: Extensions | None = None,
-        telemetry: "Telemetry | None" = None,
         admission_guard: "Callable[[AdmissionDecision], None] | None" = None,
         faults: FaultPlan | None = None,
         recovery: RecoveryPolicy | None = None,
@@ -353,13 +345,11 @@ class ExecutiveSimulation:
         self.sizer = sizer or TaskSizer()
         self.ext = extensions or Extensions()
         self.admission_guard = admission_guard
-        self.obs = telemetry
-        self.sim = Simulator(telemetry)
+        self.sim = Simulator()
         self.trace = Trace()
         self.machine = Machine(
             self.sim, self.trace, n_workers, placement,
             n_executives=self.ext.middle_managers,
-            telemetry=telemetry,
         )
         self.lateral_handoffs = 0
         self.streams_rng = RngStreams(seed)
@@ -428,22 +418,6 @@ class ExecutiveSimulation:
         self.machine.on_task_lost = self._on_task_lost
         self.admission_decisions: list[AdmissionDecision] = []
         self._admission_seen: set[tuple[int, int]] = set()
-        # splitting/elevation counters resolved once; None when untelemetered
-        self._m_splits = (
-            telemetry.metrics.counter(
-                "scheduler.splits_total", "description splits performed"
-            )
-            if telemetry is not None
-            else None
-        )
-        self._m_elevated = (
-            telemetry.metrics.counter(
-                "scheduler.elevated_descriptions_total",
-                "enabling granules split out and priority-elevated",
-            )
-            if telemetry is not None
-            else None
-        )
         # Built last: the hot loop snapshots per-run caches, labels and
         # cost constants from the fully constructed simulation.
         self._hot = HotLoop(self)
@@ -453,16 +427,8 @@ class ExecutiveSimulation:
     def _rng(self, name: str) -> np.random.Generator:
         return self.streams_rng.get(name)
 
-    def _publish(self, event: ObsEvent) -> None:
-        if self.obs is not None:
-            self.obs.bus.publish(event)
-
-    def _note_queue_depth(self) -> None:
-        if self.obs is not None:
-            self.obs.bus.publish(QueueDepthChanged(self.sim.now, len(self.queue)))
-
     def _record_admission(self, run: "_RunState", succ: "_RunState", decision: AdmissionDecision) -> None:
-        """Keep (and publish) one admission verdict per phase pair."""
+        """Keep one admission verdict per phase pair."""
         key = (run.gid, succ.gid)
         if key in self._admission_seen:
             return
@@ -472,27 +438,6 @@ class ExecutiveSimulation:
             # dynamic cross-check hook (see repro.lint.crosscheck): raise
             # before the admission is acted on if it exceeds a verdict
             self.admission_guard(decision)
-        if self.obs is None:
-            return
-        if decision.admitted:
-            self.obs.bus.publish(
-                OverlapAdmitted(
-                    self.sim.now,
-                    decision.predecessor,
-                    decision.successor,
-                    decision.mapping_kind or "unknown",
-                )
-            )
-        else:
-            self.obs.bus.publish(
-                OverlapRejected(
-                    self.sim.now,
-                    decision.predecessor,
-                    decision.successor,
-                    decision.reason,
-                    decision.mapping_kind,
-                )
-            )
 
     def _describe(
         self, run: _RunState, granules: GranuleSet, elevated: bool = False
@@ -588,6 +533,7 @@ class ExecutiveSimulation:
             reassignments=self.reassignments,
             processor_failures=self.processor_failures,
             stalls=self.stalls,
+            events_processed=self.sim.events_processed,
         )
 
     # ------------------------------------------------------------------ initiation
@@ -606,8 +552,6 @@ class ExecutiveSimulation:
             self.queue.push(root)
             run.queued = run.enabled
             self.trace.log(self.sim.now, EventKind.PHASE_START, run.spec.name, run=run.gid)
-            self._publish(PhaseStarted(self.sim.now, run.spec.name, run.gid))
-            self._note_queue_depth()
             self._arm_watchdog()
             self._maybe_overlap_next(run)
             self._hot.dispatch_idle()
@@ -723,16 +667,12 @@ class ExecutiveSimulation:
         succ.overlap_active = True
         succ.stats.overlapped = True
         succ.stats.overlap_init_time = self.sim.now
-        self._publish(
-            PhaseStarted(self.sim.now, succ.spec.name, succ.gid, overlapped=True)
-        )
         self._arm_watchdog()
         for desc in new_descs:
             self.queue.push(desc, elevated=desc.elevated)
             if desc.phase_run == succ.gid:
                 succ.enabled = succ.enabled | desc.granules
                 succ.queued = succ.queued | desc.granules
-        self._note_queue_depth()
         if (
             self.config.split_strategy is SplitStrategy.PRESPLIT
             and self._hot.caches[run.gid].identity_like_overlap()
@@ -802,9 +742,7 @@ class ExecutiveSimulation:
                 child = self._describe(run, inter, elevated=True)
                 new_descs.append(child)
                 charged += self.costs.split
-                if self._m_elevated is not None:
-                    self._m_elevated.inc(phase=run.spec.name)
-                    self._m_splits.inc(kind="elevation")
+                run.stats.elevated += 1
         return charged
 
     # ------------------------------------------------------------------ faults
@@ -822,7 +760,7 @@ class ExecutiveSimulation:
         until the barrier watchdog notices the phase can no longer make
         progress, attributes the stall to them, and reassigns.  Recovery
         therefore always flows through the stall-detection path, and every
-        crash that matters produces a :class:`PhaseStalled` event.
+        crash that matters produces a ``PHASE_STALLED`` trace record.
         """
         desc = self._in_flight.pop(proc.index, None)
         if desc is None:
@@ -863,12 +801,6 @@ class ExecutiveSimulation:
             reason=reason,
             backoff=self.recovery.backoff(desc.attempts),
         )
-        self._publish(
-            GranuleRetried(
-                self.sim.now, run.spec.name, run.gid, len(desc.granules),
-                desc.attempts, reason,
-            )
-        )
         run.assigned = run.assigned - desc.granules
         # queued from now on, not only after the backoff: until then neither
         # completion processing nor a lateral hand-off may issue them again
@@ -881,7 +813,6 @@ class ExecutiveSimulation:
         def requeue() -> None:
             self._pending_retries -= 1
             self.queue.push_front(desc, elevated=True)
-            self._note_queue_depth()
             self._hot.dispatch_idle()
 
         self._fault_events.append(
@@ -989,12 +920,6 @@ class ExecutiveSimulation:
             granules=repr(missing),
             action=action,
         )
-        self._publish(
-            PhaseStalled(
-                self.sim.now, run.spec.name, run.gid, len(missing),
-                repr(missing), action,
-            )
-        )
         if abort_reason is not None:
             self._abort(run, abort_reason, missing=missing)
             return
@@ -1010,14 +935,7 @@ class ExecutiveSimulation:
                 )
                 return
             self.reassignments += 1
-            self._publish(
-                GranuleRetried(
-                    self.sim.now, owner.spec.name, owner.gid, len(desc.granules),
-                    desc.attempts, "crash",
-                )
-            )
             self.queue.push_front(desc, elevated=True)
-        self._note_queue_depth()
         self._hot.dispatch_idle()
 
     def _abort(
@@ -1117,9 +1035,6 @@ class ExecutiveSimulation:
             desc = self._describe(run, remaining)
             run.queued = run.queued | remaining
             self.queue.push(desc)
-            self._note_queue_depth()
-        # no PhaseStarted publish here: the run was already announced by
-        # _initiate or by its overlap initiation; this is only a promotion
         self.trace.log(self.sim.now, EventKind.PHASE_START, run.spec.name, run=run.gid)
         self._maybe_overlap_next(run)
         self._hot.dispatch_idle()
@@ -1135,7 +1050,6 @@ def run_program(
     seed: int = 0,
     max_events: int | None = 5_000_000,
     extensions: Extensions | None = None,
-    telemetry: "Telemetry | None" = None,
     admission_guard: "Callable[[AdmissionDecision], None] | None" = None,
     faults: FaultPlan | None = None,
     recovery: RecoveryPolicy | None = None,
@@ -1150,7 +1064,6 @@ def run_program(
         placement=placement,
         seed=seed,
         extensions=extensions,
-        telemetry=telemetry,
         admission_guard=admission_guard,
         faults=faults,
         recovery=recovery,

@@ -5,23 +5,24 @@ time go while a phase runs down?  This package is the measurement
 substrate the rest of the repository reports through:
 
 * :mod:`repro.obs.events` — a structured, typed **event bus** fed by the
-  executive, the machine model and the threaded runtime (phase start/end,
-  granule dispatch/complete, overlap admission/rejection, worker
-  idle/busy transitions, queue-depth changes);
+  threaded runtime (phase start/end, granule dispatch/complete/retry,
+  worker idle/busy transitions) and by the sweep drivers (pool progress,
+  hangs, degradation);
 * :mod:`repro.obs.metrics` — a **metrics registry** of labelled
   counters, gauges and histograms with snapshot/reset semantics
   (``rundown.idle_seconds{processor}``, ``overlap.admitted_total``,
-  ``scheduler.queue_depth`` …);
+  ``scheduler.task_granules`` …);
 * :mod:`repro.obs.spans` — **span-based tracing** with JSONL and Chrome
   trace-event (``chrome://tracing`` / Perfetto) exporters, unified with
   :class:`~repro.sim.trace.Trace` so simulated and wall-clock runs
   produce the same schema;
 * :mod:`repro.obs.telemetry` — the :class:`Telemetry` bundle that wires
-  the three together, plus the default event→metric subscriptions.
+  the three together for the threaded runtime, and
+  :func:`record_run_metrics`, which derives a simulated run's metrics
+  from its finished trace.
 
-All instrumentation is opt-in: the simulator, machine and executive
-accept ``telemetry=None`` (the default) and skip every publish on that
-path, so un-instrumented runs pay nothing.  See docs/OBSERVABILITY.md.
+The simulator publishes nothing while it runs and imports nothing from
+this package.  See docs/OBSERVABILITY.md.
 """
 
 from repro._lazy import lazy_exports
@@ -35,21 +36,13 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
             "PhaseEnded",
             "GranuleDispatched",
             "GranuleCompleted",
-            "OverlapAdmitted",
-            "OverlapRejected",
             "WorkerIdle",
             "WorkerBusy",
-            "QueueDepthChanged",
-            "MgmtActionDone",
-            "ProcessorFailed",
             "GranuleRetried",
-            "PhaseStalled",
-            "PhaseStalledEvent",
             "PoolTaskCompleted",
             "PoolTaskHung",
             "PoolDegraded",
             "EventBus",
-            "NullEventBus",
         ),
         ".metrics": (
             "Counter",
@@ -89,6 +82,7 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
         ".telemetry": (
             "Telemetry",
             "install_default_metrics",
+            "record_run_metrics",
             "record_rundown_metrics",
             "record_sweep_metrics",
             "record_grid_metrics",

@@ -1,19 +1,17 @@
 """Typed observability events and the bus that carries them.
 
-Each event is a frozen dataclass naming one occurrence the paper's
-analysis cares about: a phase starting or ending, a granule chunk being
-dispatched to or completed by a worker, the executive admitting or
-rejecting a phase-overlap opportunity, a worker's idle/busy transition,
-or the waiting-computation queue changing depth.
+Each event is a frozen dataclass naming one occurrence: the threaded
+runtime publishes a phase starting or ending, a granule being dispatched
+to, completed by or retried on a worker thread, and a worker's idle/busy
+transition; the sweep and grid drivers publish pool progress, hangs and
+degradation.  The simulator publishes nothing: its metrics are derived
+from the finished trace (:func:`~repro.obs.telemetry.record_run_metrics`).
 
 The :class:`EventBus` delivers published events synchronously to
 subscribers.  Delivery order is the **subscription order** — a handler
 subscribed earlier always runs before one subscribed later, whether it
 subscribed to the concrete event type or to all events (``None``).  That
 guarantee is what makes metric wiring deterministic and testable.
-
-:class:`NullEventBus` accepts subscriptions but drops every publish; it
-is the baseline the instrumentation-overhead benchmark compares against.
 """
 
 from __future__ import annotations
@@ -28,22 +26,14 @@ __all__ = [
     "PhaseEnded",
     "GranuleDispatched",
     "GranuleCompleted",
-    "OverlapAdmitted",
-    "OverlapRejected",
     "WorkerIdle",
     "WorkerBusy",
-    "QueueDepthChanged",
-    "MgmtActionDone",
-    "ProcessorFailed",
     "GranuleRetried",
-    "PhaseStalled",
-    "PhaseStalledEvent",
     "PoolTaskCompleted",
     "PoolTaskHung",
     "PoolDegraded",
     "Subscription",
     "EventBus",
-    "NullEventBus",
 ]
 
 
@@ -51,8 +41,8 @@ __all__ = [
 class ObsEvent:
     """Base class for all observability events; ``time`` is the clock value.
 
-    Simulated sources stamp simulation time, the threaded runtime stamps
-    wall-clock seconds since run start — the schema is the same.
+    The threaded runtime stamps wall-clock seconds since run start, the
+    pool drivers host seconds since the sweep started.
     """
 
     time: float
@@ -60,7 +50,7 @@ class ObsEvent:
 
 @dataclass(frozen=True, slots=True)
 class PhaseStarted(ObsEvent):
-    """A parallel phase run was initiated (or promoted to current)."""
+    """A parallel phase run was initiated."""
 
     phase: str
     run: int
@@ -96,25 +86,6 @@ class GranuleCompleted(ObsEvent):
 
 
 @dataclass(frozen=True, slots=True)
-class OverlapAdmitted(ObsEvent):
-    """The executive admitted overlap between two adjacent phases."""
-
-    predecessor: str
-    successor: str
-    mapping_kind: str
-
-
-@dataclass(frozen=True, slots=True)
-class OverlapRejected(ObsEvent):
-    """The executive declined (or could not attempt) a phase overlap."""
-
-    predecessor: str
-    successor: str
-    reason: str
-    mapping_kind: str | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class WorkerIdle(ObsEvent):
     """A worker processor transitioned to idle."""
 
@@ -123,62 +94,21 @@ class WorkerIdle(ObsEvent):
 
 @dataclass(frozen=True, slots=True)
 class WorkerBusy(ObsEvent):
-    """A worker processor left idle; ``activity`` is compute/mgmt/serial."""
+    """A worker left idle; ``activity`` is what it started (``compute``)."""
 
     processor: str
     activity: str = "compute"
 
 
 @dataclass(frozen=True, slots=True)
-class QueueDepthChanged(ObsEvent):
-    """The waiting-computation queue's depth after a push or pop."""
-
-    depth: int
-
-
-@dataclass(frozen=True, slots=True)
-class MgmtActionDone(ObsEvent):
-    """An executive management job finished."""
-
-    server: str
-    label: str
-    duration: float
-    category: str = "mgmt"
-
-
-@dataclass(frozen=True, slots=True)
-class ProcessorFailed(ObsEvent):
-    """A worker processor crashed; ``lost_label`` names its lost task, if any."""
-
-    processor: str
-    lost_label: str = ""
-
-
-@dataclass(frozen=True, slots=True)
 class GranuleRetried(ObsEvent):
-    """A task's granules are being retried; ``reason`` is transient/crash."""
+    """A task's granules are being retried after a transient failure."""
 
     phase: str
     run: int
     n_granules: int
     attempt: int
     reason: str = "transient"
-
-
-@dataclass(frozen=True, slots=True)
-class PhaseStalled(ObsEvent):
-    """The barrier watchdog found a phase that can no longer progress.
-
-    ``granules`` is the stall attribution — the uncompleted granules as a
-    range string (e.g. ``"[40,48)"``); ``action`` is what the watchdog did
-    about it: ``"reassign"`` (orphans requeued) or ``"abort"``.
-    """
-
-    phase: str
-    run: int
-    missing: int
-    granules: str
-    action: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,11 +174,6 @@ class PoolDegraded(ObsEvent):
     to_rung: str
     restarts: int
     reason: str = "retry_budget"
-
-
-#: Compatibility alias; the event class follows the PhaseStarted/PhaseEnded
-#: naming but external docs refer to it as PhaseStalledEvent.
-PhaseStalledEvent = PhaseStalled
 
 
 @dataclass(slots=True)
@@ -340,9 +265,3 @@ class EventBus:
     def __len__(self) -> int:
         return len(self._subs)
 
-
-class NullEventBus(EventBus):
-    """A bus that drops every publish — the no-op instrumentation baseline."""
-
-    def publish(self, event: ObsEvent) -> None:  # noqa: D102 - intentional no-op
-        pass

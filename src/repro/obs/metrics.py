@@ -7,7 +7,7 @@ metric), mirroring the Prometheus data model the names are written in:
 
 * ``rundown.idle_seconds{processor="P3"}``
 * ``overlap.admitted_total{mapping_kind="identity"}``
-* ``scheduler.queue_depth``
+* ``run.makespan``
 
 ``snapshot()`` returns a plain-dict deep copy decoupled from later
 updates; ``reset()`` clears every series while keeping the registered
@@ -263,10 +263,9 @@ _WORKER_REGISTRY_PID: int | None = None
 def worker_registry() -> MetricsRegistry:
     """The process-global registry for worker-side counters.
 
-    Pool tasks run with ``telemetry=None`` by default, so counters their
-    instrumentation would normally feed (``faults.*``, shm reattach
-    counts) have nowhere to go and were silently dropped.  Worker-side
-    code counts into this registry instead;
+    Pool tasks carry no registry of their own, so counters they feed
+    (``faults.*``, shm reattach counts) would have nowhere to go.
+    Worker-side code counts into this registry instead;
     :func:`flush_counters` drains it exactly once per finished task into
     the task's result envelope, and the parent merges the deltas with
     :func:`merge_counters`.

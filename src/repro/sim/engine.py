@@ -18,10 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.telemetry import Telemetry
+from typing import Callable
 
 __all__ = ["Event", "EventQueue", "Simulator"]
 
@@ -146,21 +143,12 @@ class Simulator:
     2.0
     """
 
-    def __init__(self, telemetry: "Telemetry | None" = None) -> None:
+    def __init__(self) -> None:
         self._queue = EventQueue()
         self._now = 0.0
         self._running = False
         self._stopped = False
         self.events_processed = 0
-        # resolved once so the per-event cost with telemetry on is a bare
-        # counter increment, and with telemetry off a None check
-        self._events_counter = (
-            telemetry.metrics.counter(
-                "sim.events_processed_total", "discrete events executed"
-            )
-            if telemetry is not None
-            else None
-        )
 
     @property
     def now(self) -> float:
@@ -222,8 +210,6 @@ class Simulator:
                 ev.callback()
                 processed += 1
                 self.events_processed += 1
-                if self._events_counter is not None:
-                    self._events_counter.inc()
                 if max_events is not None and processed >= max_events:
                     raise RuntimeError(f"exceeded max_events={max_events} at t={self._now}")
         finally:

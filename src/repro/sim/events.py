@@ -13,7 +13,13 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["EventKind", "LogRecord", "format_task_label", "parse_task_label"]
+__all__ = [
+    "EventKind",
+    "LogRecord",
+    "format_task_label",
+    "parse_granule_ranges",
+    "parse_task_label",
+]
 
 
 class EventKind(enum.Enum):
@@ -74,10 +80,21 @@ def parse_task_label(label: str) -> tuple[str, int, tuple[tuple[int, int], ...]]
     phase, sep, rest = label.rpartition("#")
     if not sep or not phase:
         return None
-    run_s, sep, body = rest.partition(":GranuleSet(")
-    if not sep or not run_s.isdigit() or not body.endswith(")"):
+    run_s, sep, granules = rest.partition(":")
+    if not sep or not run_s.isdigit():
         return None
-    body = body[:-1]
+    ranges = parse_granule_ranges(granules)
+    if ranges is None:
+        return None
+    return phase, int(run_s), ranges
+
+
+def parse_granule_ranges(text: str) -> tuple[tuple[int, int], ...] | None:
+    """Invert ``repr`` of a ``GranuleSet``: ``GranuleSet([a,b),[c,d))``
+    gives ``((a, b), (c, d))``; ``None`` for any other text."""
+    if not text.startswith("GranuleSet(") or not text.endswith(")"):
+        return None
+    body = text[11:-1]
     ranges: list[tuple[int, int]] = []
     if body:
         try:
@@ -86,7 +103,7 @@ def parse_task_label(label: str) -> tuple[str, int, tuple[tuple[int, int], ...]]
                 ranges.append((int(lo_s), int(hi_s)))
         except ValueError:
             return None
-    return phase, int(run_s), tuple(ranges)
+    return tuple(ranges)
 
 
 @dataclass(frozen=True, slots=True)

@@ -42,15 +42,11 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, insort
 from collections import deque
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
-from repro.obs.events import MgmtActionDone, ProcessorFailed, WorkerBusy, WorkerIdle
 from repro.sim.engine import Event, Simulator
 from repro.sim.events import EventKind
 from repro.sim.trace import Trace
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.telemetry import Telemetry
 
 __all__ = ["ExecutivePlacement", "ProcessorState", "Processor", "Machine", "CHIEF_LANE"]
 
@@ -110,7 +106,7 @@ class _MgmtJob:
     the duration resolves: when it returns True the job is a *no-op* —
     the work it was scheduled for evaporated between scheduling and
     execution (e.g. an assignment whose waiting queue drained) — and the
-    machine skips recording its (zero-length) busy span and trace/obs
+    machine skips recording its (zero-length) busy span and trace
     records so profiler management attribution is not skewed by phantom
     actions.  The job's callback and ordering are unaffected.
     """
@@ -189,24 +185,18 @@ class _TaskFinish:
 class _MgmtFinish:
     """Slotted completion record for one management job."""
 
-    __slots__ = ("machine", "server", "job", "duration", "skipped")
+    __slots__ = ("machine", "server", "job", "skipped")
 
     def __init__(
-        self,
-        machine: "Machine",
-        server: _ExecServer,
-        job: _MgmtJob,
-        duration: float,
-        skipped: bool,
+        self, machine: "Machine", server: _ExecServer, job: _MgmtJob, skipped: bool
     ) -> None:
         self.machine = machine
         self.server = server
         self.job = job
-        self.duration = duration
         self.skipped = skipped
 
     def __call__(self) -> None:
-        self.machine._finish_mgmt(self.server, self.job, self.duration, self.skipped)
+        self.machine._finish_mgmt(self.server, self.job, self.skipped)
 
 
 class Machine:
@@ -235,7 +225,6 @@ class Machine:
         n_workers: int,
         placement: ExecutivePlacement = ExecutivePlacement.SHARED,
         n_executives: int = 1,
-        telemetry: "Telemetry | None" = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"need at least one worker, got {n_workers}")
@@ -268,7 +257,6 @@ class Machine:
         # of the paper's full-scale example.
         self._idle_sorted: list[int] = list(range(n_workers))
         self.mgmt_jobs_done = 0
-        self._obs = telemetry
         #: Hook invoked with the processor each time one returns to IDLE.
         self.on_processor_idle: Callable[[Processor], None] | None = None
         #: Hook invoked when a crash loses a processor's in-flight task.
@@ -368,11 +356,9 @@ class Machine:
         proc.state = ProcessorState.COMPUTING
         self._idle_discard(index)
         proc.current_label = label
-        now = self.sim._now
-        name = self._proc_names[index]
-        self.trace.begin_logged(name, now, "compute", label, EventKind.TASK_START)
-        if self._obs is not None:
-            self._obs.bus.publish(WorkerBusy(now, name, "compute"))
+        self.trace.begin_logged(
+            self._proc_names[index], self.sim._now, "compute", label, EventKind.TASK_START
+        )
         self._task_events[index] = self.sim.schedule_after(
             duration, _TaskFinish(self, proc, on_done, label), priority=0
         )
@@ -384,15 +370,13 @@ class Machine:
         """Close out one computation task."""
         index = proc.index
         self._task_events.pop(index, None)
-        now = self.sim._now
-        name = self._proc_names[index]
-        self.trace.end_logged(name, now, "compute", label, EventKind.TASK_END)
+        self.trace.end_logged(
+            self._proc_names[index], self.sim._now, "compute", label, EventKind.TASK_END
+        )
         proc.state = ProcessorState.IDLE
         insort(self._idle_sorted, index)
         proc.current_label = ""
         proc.tasks_completed += 1
-        if self._obs is not None:
-            self._obs.bus.publish(WorkerIdle(now, name))
         on_done(proc)
         # Management may have queued while this task ran on the host.
         hs = self._host_server
@@ -439,8 +423,6 @@ class Machine:
         self.trace.log(
             self.sim.now, EventKind.PROCESSOR_FAILED, proc.name, label=lost_label
         )
-        if self._obs is not None:
-            self._obs.bus.publish(ProcessorFailed(self.sim.now, proc.name, lost_label))
         if was_computing and self.on_task_lost is not None:
             self.on_task_lost(proc)
 
@@ -471,7 +453,7 @@ class Machine:
         ``noop`` is an optional zero-argument predicate evaluated after
         the duration resolves; True means the job turned out to be a no-op
         (e.g. an assignment whose queue drained) and its zero-length busy
-        span plus trace/obs records are skipped.  Scheduling, ordering and
+        span plus trace records are skipped.  Scheduling, ordering and
         the ``on_done`` callback are unaffected.
         """
         if not callable(duration) and duration < 0:
@@ -549,21 +531,15 @@ class Machine:
             self._idle_discard(index)
             if not skipped:
                 trace.begin(self._proc_names[index], now, job.category, job.label)
-                if self._obs is not None:
-                    self._obs.bus.publish(
-                        WorkerBusy(now, self._proc_names[index], job.category)
-                    )
         if not skipped:
             trace.begin_logged(
                 server.resource, now, job.category, job.label, EventKind.MGMT_START
             )
         self.sim.schedule_after(
-            job_duration, _MgmtFinish(self, server, job, job_duration, skipped), priority=-1
+            job_duration, _MgmtFinish(self, server, job, skipped), priority=-1
         )
 
-    def _finish_mgmt(
-        self, server: _ExecServer, job: _MgmtJob, job_duration: float, skipped: bool
-    ) -> None:
+    def _finish_mgmt(self, server: _ExecServer, job: _MgmtJob, skipped: bool) -> None:
         """Close out one management job."""
         now = self.sim._now
         trace = self.trace
@@ -577,12 +553,6 @@ class Machine:
                 trace.close(self._proc_names[host.index], now, job.category)
             host.state = ProcessorState.IDLE
             insort(self._idle_sorted, host.index)
-        if self._obs is not None and not skipped:
-            if host is not None:
-                self._obs.bus.publish(WorkerIdle(now, self._proc_names[host.index]))
-            self._obs.bus.publish(
-                MgmtActionDone(now, server.resource, job.label, job_duration, job.category)
-            )
         server.busy = False
         self.mgmt_jobs_done += 1
         od = job.on_done

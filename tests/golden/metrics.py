@@ -1,15 +1,16 @@
 """Record the golden metric digests in ``metric_digests.json``.
 
-Each case of ``sim_digests.json`` is run again and the metrics snapshot
-of its telemetry is hashed: every counter and histogram series, with
-its help text, as canonical JSON (sorted keys, every float rounded to 9
-significant digits).  The simulation digests pin the run; these pin
-what ``repro stats`` prints from it.  ``tests/test_metric_golden.py``
+Each case of ``sim_digests.json`` is run again, its metrics are derived
+with :func:`~repro.obs.telemetry.record_run_metrics` (what ``repro
+stats`` prints), and the snapshot is hashed: every counter and histogram
+series, with its help text, as canonical JSON (sorted keys, every float
+rounded to 9 significant digits).  The simulation digests pin the run;
+these pin the metrics read from it.  ``tests/test_metric_golden.py``
 runs the check.
 
-The two queue-depth series (``scheduler.queue_depth`` and
-``scheduler.queue_depth_hist``) are left out: a finished run has
-drained its queue, and the trace does not hold the queue's depth.
+The digests were first recorded from live telemetry, which the
+simulator published while it ran, without its two queue-depth series;
+the metrics derived from the finished trace match them.
 
 Usage, from the repository root::
 
@@ -28,23 +29,17 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from repro.obs import Telemetry
+from repro.obs import MetricsRegistry, record_run_metrics
 from tests.golden.record import load_cases, run_case
 
 DIGESTS_PATH = Path(__file__).with_name("metric_digests.json")
 
-#: Series the trace cannot reproduce; never part of a digest.
-_LEFT_OUT = ("scheduler.queue_depth", "scheduler.queue_depth_hist")
-
 
 def metric_snapshot(spec: dict[str, Any]) -> dict[str, Any]:
     """The metrics snapshot of the run ``spec`` describes."""
-    telemetry = Telemetry()
-    run_case(spec, telemetry=telemetry)
-    snapshot = telemetry.metrics.snapshot()
-    for name in _LEFT_OUT:
-        snapshot.pop(name, None)
-    return snapshot
+    registry = MetricsRegistry()
+    record_run_metrics(run_case(spec), registry)
+    return registry.snapshot()
 
 
 def _rounded(value: Any) -> Any:

@@ -84,7 +84,7 @@ class TestStats:
         for p in range(4):
             assert f"rundown.idle_seconds{{processor=\"P{p}\"}}" in text
         assert "overlap.admitted_total" in text
-        assert "scheduler.queue_depth" in text
+        assert "scheduler.tasks_dispatched_total" in text
 
     def test_barrier_shows_rejections(self):
         code, text = run_cli("stats", "identity", "--workers", "4", "--barrier")
@@ -492,3 +492,4 @@ class TestStatsSweepMalformed:
         code, text, err = self._stats(capsys, path)
         assert code == 2 and text == ""
         assert err == "error: 'utilization'\n"
+

@@ -97,7 +97,7 @@ def test_simulate_sanitize_loads_no_front_end_and_no_sweep(tmp_path):
     modules = _cli_modules(
         "simulate", "casper", "--sanitize", "--save", "run.json", cwd=tmp_path
     )
-    assert _within(modules, "repro.lang", "repro.sweep") == []
+    assert _within(modules, "repro.lang", "repro.sweep", "repro.obs") == []
 
 
 @pytest.mark.parametrize(
@@ -110,7 +110,7 @@ def test_simulate_sanitize_loads_no_front_end_and_no_sweep(tmp_path):
 )
 def test_executive_loads_no_front_end_linter_or_profiler(code):
     modules = _modules_after(code)
-    assert _within(modules, "repro.lang", "repro.lint", "repro.obs.profile") == []
+    assert _within(modules, "repro.lang", "repro.lint", "repro.obs") == []
 
 
 def _packages() -> list[str]:
