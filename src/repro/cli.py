@@ -1024,7 +1024,9 @@ def _load_run_json(path: str):
 
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return data.get("trace", data)  # accept bare traces too
+    if isinstance(data, dict):
+        return data.get("trace", data)  # accept bare traces too
+    return data  # trace_from_dict rejects it
 
 
 def _cmd_export_trace(args, out) -> int:
@@ -1113,11 +1115,10 @@ def _cmd_gantt(args, out) -> int:
     from repro.sim.persist import trace_from_dict
 
     try:
-        trace_data = _load_run_json(args.file)
+        trace = trace_from_dict(_load_run_json(args.file))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    trace = trace_from_dict(trace_data)
     print(render_gantt(trace, width=args.width, t0=args.t0, t1=args.t1), file=out)
     return 0
 

@@ -487,6 +487,8 @@ def analyze_saved(data: Mapping[str, Any]) -> WaterfallReport:
     """
     from repro.sim.persist import trace_from_dict
 
+    if not isinstance(data, Mapping):
+        raise ValueError(f"saved run is a {type(data).__name__}, not an object")
     if "trace" in data or "summary" in data:
         trace = trace_from_dict(data.get("trace", {}))
         summary = data.get("summary", {})

@@ -52,23 +52,44 @@ def trace_to_dict(trace: Trace) -> dict[str, Any]:
 
 
 def trace_from_dict(data: dict[str, Any]) -> Trace:
-    """Rebuild a :class:`Trace` saved by :func:`trace_to_dict`."""
-    return Trace.from_rows(
-        (
-            (float(r["time"]), EventKind(r["kind"]), r["subject"], r.get("detail", {}))
-            for r in data.get("records", [])
-        ),
-        (
-            (
+    """Rebuild a :class:`Trace` saved by :func:`trace_to_dict`.
+
+    Raises ``ValueError`` when ``data`` or its ``records`` or
+    ``intervals`` is not of the saved form, naming the first record or
+    interval that is not: a missing field, a value of the wrong type, an
+    unknown kind, a negative time or an interval that ends before it
+    starts.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"saved trace is a {type(data).__name__}, not an object")
+    records, intervals = data.get("records", []), data.get("intervals", [])
+    for name, rows in (("records", records), ("intervals", intervals)):
+        if not isinstance(rows, list):
+            raise ValueError(f"saved trace {name} is a {type(rows).__name__}, not a list")
+    # what Trace.from_rows is reading, for the error message: it takes
+    # each row as it is made, so a failure belongs to the latest one
+    at = ["record", 0]
+
+    def record_rows():
+        for at[1], r in enumerate(records):
+            yield float(r["time"]), EventKind(r["kind"]), r["subject"], r.get("detail", {})
+
+    def interval_rows():
+        at[0] = "interval"
+        for at[1], iv in enumerate(intervals):
+            yield (
                 iv["resource"],
                 float(iv["start"]),
                 float(iv["end"]),
                 iv.get("category", "compute"),
                 iv.get("label", ""),
             )
-            for iv in data.get("intervals", [])
-        ),
-    )
+
+    try:
+        return Trace.from_rows(record_rows(), interval_rows())
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        problem = f"no field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValueError(f"saved trace {at[0]} {at[1]}: {problem}") from None
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:

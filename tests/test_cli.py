@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from pathlib import Path
 
 import pytest
 
@@ -493,3 +494,55 @@ class TestStatsSweepMalformed:
         assert code == 2 and text == ""
         assert err == "error: 'utilization'\n"
 
+
+_PIPELINE = Path(__file__).resolve().parents[1] / "examples" / "pipeline.pax"
+
+#: Ways to break a saved run: each edits the document in place or
+#: returns the document to save instead.
+_MALFORMED_RUNS = {
+    "detail-number": lambda doc: doc["trace"]["records"][3].update(detail=5),
+    "time-list": lambda doc: doc["trace"]["records"][3].update(time=[1]),
+    "interval-start-list": lambda doc: doc["trace"]["intervals"][3].update(start=[1]),
+    "records-object": lambda doc: doc["trace"].update(records={"0": {}}),
+    "trace-list": lambda doc: doc.update(trace=[]),
+    "unknown-kind": lambda doc: doc["trace"]["records"][3].update(kind="no_such_kind"),
+    "run-list": lambda doc: [doc],
+}
+
+#: Every command that reads a saved run, with the run's path as ``{}``.
+_RUN_READERS = {
+    "export-trace": ["export-trace", "{}", "-o", "{}.out"],
+    "profile": ["profile", "{}"],
+    "gantt": ["gantt", "{}"],
+    "lint-check-run": ["lint", "--check-run", "{}", str(_PIPELINE)],
+}
+
+
+class TestMalformedSavedRun:
+    """Every reader of a saved run loads it through ``trace_from_dict``:
+    a malformed run is an ``error:`` line and exit 2, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        import json
+
+        path = tmp_path_factory.mktemp("saved") / "run.json"
+        code, _ = run_cli("compile", str(_PIPELINE), "--run", "--save", str(path))
+        assert code == 0
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("breakage", sorted(_MALFORMED_RUNS))
+    @pytest.mark.parametrize("command", sorted(_RUN_READERS))
+    def test_exits_2_with_an_error_line(self, saved, command, breakage, tmp_path, capsys):
+        import copy
+        import json
+
+        doc = copy.deepcopy(saved)
+        doc = _MALFORMED_RUNS[breakage](doc) or doc
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        argv = [arg.replace("{}", str(path)) for arg in _RUN_READERS[command]]
+        code, text = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 2, text
+        assert err.startswith("error: ") and "saved" in err
