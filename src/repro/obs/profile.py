@@ -47,7 +47,7 @@ import pickle
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.sim.events import EventKind
@@ -132,12 +132,12 @@ def _window_total(spans: Spans, start: float, end: float) -> float:
     hi = bisect_left(spans, end, lo, key=_START)
     return sum(min(e, end) - max(s, start) for s, e in spans[lo:hi])
 
-def _merged_by_category(ivs: Sequence[Any]) -> dict[str, Spans]:
-    """One resource's intervals, merged once per category (in order of
-    first appearance)."""
+def _merged_by_category(rows: Sequence[tuple[str, float, float, str, str]]) -> dict[str, Spans]:
+    """One resource's interval rows, merged once per category (in order
+    of first appearance)."""
     spans: dict[str, Spans] = {}
-    for iv in ivs:
-        spans.setdefault(iv.category, []).append((iv.start, iv.end))
+    for _, start, end, category, _ in rows:
+        spans.setdefault(category, []).append((start, end))
     return {cat: merge_intervals(s) for cat, s in spans.items()}
 
 
@@ -296,15 +296,14 @@ def _retry_backoff_windows(trace: Trace) -> Spans:
 
 def _stall_windows(trace: Trace) -> Spans:
     """Dead air before each watchdog detection: last activity end → record."""
-    ends = sorted(iv.end for iv in trace.intervals())
+    stalls = trace.records_of(EventKind.PHASE_STALLED)
+    if not stalls:
+        return []
+    ends = sorted(end for _, _, end, _, _ in trace.interval_rows())
     out: Spans = []
-    for r in trace.records_of(EventKind.PHASE_STALLED):
-        last = 0.0
-        for e in ends:
-            if e <= r.time:
-                last = e
-            else:
-                break
+    for r in stalls:
+        k = bisect_right(ends, r.time)
+        last = ends[k - 1] if k else 0.0
         if r.time > last:
             out.append((last, r.time))
     return merge_intervals(out)
@@ -313,11 +312,11 @@ def _paired_phase_windows(trace: Trace) -> list[tuple[str, float, float]]:
     """Phase windows recovered from PHASE_START/PHASE_END record pairing."""
     open_runs: dict[str, list[float]] = {}
     out: list[tuple[str, float, float]] = []
-    for r in trace.records:
-        if r.kind is EventKind.PHASE_START:
-            open_runs.setdefault(r.subject, []).append(r.time)
-        elif r.kind is EventKind.PHASE_END and open_runs.get(r.subject):
-            out.append((r.subject, open_runs[r.subject].pop(0), r.time))
+    for time, kind, subject, _ in trace.json_record_rows():
+        if kind is EventKind.PHASE_START:
+            open_runs.setdefault(subject, []).append(time)
+        elif kind is EventKind.PHASE_END and open_runs.get(subject):
+            out.append((subject, open_runs[subject].pop(0), time))
     return out
 
 def _critical_path(trace: Trace, makespan: float, limit: int = 64) -> list[CriticalPathStep]:
@@ -326,30 +325,33 @@ def _critical_path(trace: Trace, makespan: float, limit: int = 64) -> list[Criti
     to its start.  The chain's durations plus waits tile the makespan, so
     a long ``wait_after`` names exactly where the end-to-end time leaked."""
     eps = 1e-12
-    ivs = sorted(
-        (iv for iv in trace.intervals() if iv.duration > 0),
-        key=lambda iv: (iv.end, iv.start, iv.resource),
+    # (resource, start, end, category, label) rows of positive length,
+    # by end, then start, then resource
+    rows = sorted(
+        (row for row in trace.interval_rows() if row[2] > row[1]),
+        key=lambda row: (row[2], row[1], row[0]),
     )
-    end_of = attrgetter("end")
+    end_of = itemgetter(2)
     steps: list[CriticalPathStep] = []
     t = makespan
-    n = len(ivs)  # ivs[:n] are the intervals that end at or before t
+    n = len(rows)  # rows[:n] are the intervals that end at or before t
     while len(steps) < limit and t > eps:
-        n = bisect_right(ivs, t + eps, 0, n, key=end_of)
-        pick = next((ivs[k] for k in range(n - 1, -1, -1) if ivs[k].start < t - eps), None)
+        n = bisect_right(rows, t + eps, 0, n, key=end_of)
+        pick = next((rows[k] for k in range(n - 1, -1, -1) if rows[k][1] < t - eps), None)
         if pick is None:
             break
+        resource, start, end, category, label = pick
         steps.append(
             CriticalPathStep(
-                resource=pick.resource,
-                category=pick.category,
-                label=pick.label,
-                start=pick.start,
-                end=pick.end,
-                wait_after=max(0.0, t - pick.end),
+                resource=resource,
+                category=category,
+                label=label,
+                start=start,
+                end=end,
+                wait_after=max(0.0, t - end),
             )
         )
-        t = pick.start
+        t = start
     steps.reverse()
     return steps
 
@@ -384,8 +386,8 @@ def build_waterfall(
     merged: dict[str, dict[str, Spans]] = {}
     rows: list[ResourceWaterfall] = []
     for name in resources:
-        ivs = list(trace.intervals(name))
-        by_cat = merged[name] = _merged_by_category(ivs)
+        intervals = list(trace.interval_rows(name))
+        by_cat = merged[name] = _merged_by_category(intervals)
         busy = {cat: _total(by_cat.get(cat, [])) for cat in BUSY_CATEGORIES}
         for cat in by_cat:  # off-taxonomy categories still count as busy
             if cat not in busy:
@@ -393,7 +395,7 @@ def build_waterfall(
         gaps = [(0.0, span)] if span > 0 else []
         for spans in by_cat.values():
             gaps = _subtract(gaps, spans)
-        first_start = min((iv.start for iv in ivs), default=span)
+        first_start = min((start for _, start, _, _, _ in intervals), default=span)
         idle: dict[str, float] = {}
         for cat, windows in (
             ("retry_backoff", retry_w),

@@ -12,6 +12,8 @@ from repro.faults import FaultPlan, ProcessorCrash
 from repro.lint import sanitize_result, sanitize_saved
 from repro.obs import (
     MetricsRegistry,
+    analyze_run,
+    analyze_saved,
     export_jsonl,
     instants_from_trace,
     iter_trace_spans,
@@ -403,8 +405,8 @@ def test_crash_builds_no_records_or_intervals(built):
 
 
 def test_row_readers_build_no_records_or_intervals(built, tmp_path):
-    """Saving, loading, sanitizing, exporting and deriving the metrics of
-    a run read rows only."""
+    """Saving, loading, sanitizing, exporting, profiling and deriving the
+    metrics of a run read rows only."""
     program = build_workload("casper", {"granule_scale": 0.1})
     result = run_program(program, 4, seed=0)
     data = {"summary": result_summary(result), "trace": trace_to_dict(result.trace)}
@@ -416,6 +418,7 @@ def test_row_readers_build_no_records_or_intervals(built, tmp_path):
     )
     export_jsonl(iter_trace_spans(trace), tmp_path / "t.jsonl")
     assert events > len(data["trace"]["records"]) + len(data["trace"]["intervals"])
+    assert analyze_saved(data).to_dict() == analyze_run(result).to_dict()
     metrics = MetricsRegistry()
     record_run_metrics(result, metrics)
     assert metrics.get("phase.ended_total").total() == len(result.phase_stats)
