@@ -54,11 +54,12 @@ def trace_to_dict(trace: Trace) -> dict[str, Any]:
 def trace_from_dict(data: dict[str, Any]) -> Trace:
     """Rebuild a :class:`Trace` saved by :func:`trace_to_dict`.
 
-    Raises ``ValueError`` when ``data`` or its ``records`` or
-    ``intervals`` is not of the saved form, naming the first record or
-    interval that is not: a missing field, a value of the wrong type, an
-    unknown kind, a negative time or an interval that ends before it
-    starts.
+    Raises ``ValueError`` when ``data`` is not an object or its
+    ``records`` or ``intervals`` not a list, and otherwise names the
+    first record or interval that cannot be read: one that is not an
+    object or lacks a field, a time or detail that does not convert, a
+    subject or resource that is not a string, an unknown kind, a
+    negative time or an interval that ends before it starts.
     """
     if not isinstance(data, dict):
         raise ValueError(f"saved trace is a {type(data).__name__}, not an object")
@@ -72,13 +73,19 @@ def trace_from_dict(data: dict[str, Any]) -> Trace:
 
     def record_rows():
         for at[1], r in enumerate(records):
-            yield float(r["time"]), EventKind(r["kind"]), r["subject"], r.get("detail", {})
+            subject = r["subject"]
+            if type(subject) is not str:
+                raise TypeError(f"subject {subject!r} is not a string")
+            yield float(r["time"]), EventKind(r["kind"]), subject, r.get("detail", {})
 
     def interval_rows():
         at[0] = "interval"
         for at[1], iv in enumerate(intervals):
+            resource = iv["resource"]
+            if type(resource) is not str:
+                raise TypeError(f"resource {resource!r} is not a string")
             yield (
-                iv["resource"],
+                resource,
                 float(iv["start"]),
                 float(iv["end"]),
                 iv.get("category", "compute"),

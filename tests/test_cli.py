@@ -503,6 +503,8 @@ _MALFORMED_RUNS = {
     "detail-number": lambda doc: doc["trace"]["records"][3].update(detail=5),
     "time-list": lambda doc: doc["trace"]["records"][3].update(time=[1]),
     "interval-start-list": lambda doc: doc["trace"]["intervals"][3].update(start=[1]),
+    "interval-resource-number": lambda doc: doc["trace"]["intervals"][3].update(resource=5),
+    "subject-number": lambda doc: doc["trace"]["records"][3].update(subject=5),
     "records-object": lambda doc: doc["trace"].update(records={"0": {}}),
     "trace-list": lambda doc: doc.update(trace=[]),
     "unknown-kind": lambda doc: doc["trace"]["records"][3].update(kind="no_such_kind"),
