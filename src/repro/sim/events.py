@@ -94,7 +94,7 @@ def parse_granule_ranges(text: str) -> tuple[tuple[int, int], ...] | None:
     gives ``((a, b), (c, d))``; ``None`` for any other text."""
     if not text.startswith("GranuleSet(") or not text.endswith(")"):
         return None
-    body = text[11:-1]
+    body = text[len("GranuleSet(") : -1]
     ranges: list[tuple[int, int]] = []
     if body:
         try:
