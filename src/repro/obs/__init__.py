@@ -6,7 +6,7 @@ substrate the rest of the repository reports through:
 
 * :mod:`repro.obs.events` — a structured, typed **event bus** fed by the
   threaded runtime (phase start/end, granule dispatch/complete/retry,
-  worker idle/busy transitions) and by the sweep drivers (pool progress,
+  worker idle/busy transitions) and by sweeps and grids (pool progress,
   hangs, degradation);
 * :mod:`repro.obs.metrics` — a **metrics registry** of labelled
   counters, gauges and histograms with snapshot/reset semantics

@@ -3,7 +3,7 @@
 Each event is a frozen dataclass naming one occurrence: the threaded
 runtime publishes a phase starting or ending, a granule being dispatched
 to, completed by or retried on a worker thread, and a worker's idle/busy
-transition; the sweep and grid drivers publish pool progress, hangs and
+transition; sweeps and grids publish pool progress, hangs and
 degradation.  The simulator publishes nothing: its metrics are derived
 from the finished trace (:func:`~repro.obs.telemetry.record_run_metrics`).
 
@@ -42,7 +42,7 @@ class ObsEvent:
     """Base class for all observability events; ``time`` is the clock value.
 
     The threaded runtime stamps wall-clock seconds since run start, the
-    pool drivers host seconds since the sweep started.
+    pool host seconds since the sweep started.
     """
 
     time: float

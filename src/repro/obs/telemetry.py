@@ -318,7 +318,7 @@ def record_rundown_metrics(result: "RunResult", registry: MetricsRegistry) -> No
       ``run.mgmt_seconds`` — whole-run summary gauges.
     """
     # imported here: it loads the executive and numpy, which the threaded
-    # runtime and the sweep drivers that import this module do not need
+    # runtime and the sweep code that import this module do not need
     from repro.metrics.rundown import merged_rundown_windows, rundown_idle_by_processor
 
     idle = rundown_idle_by_processor(result)
