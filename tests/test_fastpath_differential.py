@@ -13,6 +13,8 @@ paths, so that its test ids stay stable.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.lint import sanitize_result
@@ -116,15 +118,34 @@ class TestRandomizedConfigs:
 
 # ------------------------------------------------------------------ noop spans
 class TestNoopMgmtSpans:
-    """A no-op assign records no span or trace records, while a genuine
-    zero-duration job (ExecutiveCosts.free) still records everything."""
+    """A no-op assign records no span, trace records or derived metrics,
+    while a genuine zero-duration job (ExecutiveCosts.free) still records
+    everything."""
 
     @staticmethod
     def machine():
         trace = Trace()
         return Machine(Simulator(), trace, 2), trace
 
-    def test_noop_job_records_nothing(self):
+    @staticmethod
+    def derived_series(machine, trace) -> dict:
+        """The non-empty metric series ``record_run_metrics`` derives from
+        this bare machine's trace (no phases, so no admission verdicts)."""
+        run = SimpleNamespace(
+            trace=trace,
+            n_workers=machine.n_workers,
+            admission_decisions=[],
+            phase_stats=[],
+            events_processed=machine.sim.events_processed,
+        )
+        registry = MetricsRegistry()
+        record_run_metrics(run, registry)
+        return {
+            name: m["series"] for name, m in registry.snapshot().items() if m["series"]
+        }
+
+    @pytest.mark.parametrize("metrics", [False, True])
+    def test_noop_job_records_nothing(self, metrics):
         machine, trace = self.machine()
         fired = []
         machine.submit_mgmt(
@@ -135,8 +156,14 @@ class TestNoopMgmtSpans:
         assert machine.mgmt_jobs_done == 1
         assert trace.records == []
         assert list(trace.intervals()) == []
+        if metrics:
+            # only the simulator's own event count; no worker or executive series
+            assert self.derived_series(machine, trace) == {
+                "sim.events_processed_total": {"": 1.0}
+            }
 
-    def test_zero_duration_genuine_job_still_records(self):
+    @pytest.mark.parametrize("metrics", [False, True])
+    def test_zero_duration_genuine_job_still_records(self, metrics):
         machine, trace = self.machine()
         machine.submit_mgmt(0.0, None, label="assign:P0")
         machine.sim.run()
@@ -146,6 +173,15 @@ class TestNoopMgmtSpans:
         ivs = list(trace.intervals())
         assert sorted(iv.resource for iv in ivs) == ["EXEC", "P0"]
         assert all(iv.duration == 0.0 for iv in ivs)
+        if metrics:
+            # the host goes busy and idle once, the server finishes one job
+            assert self.derived_series(machine, trace) == {
+                "executive.actions_total": {'{action="assign"}': 1.0},
+                "executive.busy_seconds": {'{server="EXEC"}': 0.0},
+                "sim.events_processed_total": {"": 1.0},
+                "worker.busy_transitions_total": {'{activity="mgmt",processor="P0"}': 1.0},
+                "worker.idle_transitions_total": {'{processor="P0"}': 1.0},
+            }
 
     def test_drained_queue_assign_leaves_no_span(self):
         """End to end: runs always retire every queued assignment, and
